@@ -354,7 +354,11 @@ def reduced_friction_matrix(spec: MixtureSpec, c: np.ndarray) -> np.ndarray:
     contained in ``[delta, Delta)``; in particular A0 is always invertible
     on the closed simplex.
     """
-    c = _require_admissible(c)
+    return _reduced_friction(spec, _require_admissible(c))
+
+
+def _reduced_friction(spec: MixtureSpec, c: np.ndarray) -> np.ndarray:
+    """``reduced_friction_matrix`` of an admissible float state, unchecked."""
     n = spec.n_reduced
     d_red = spec.d[:n, :n]
     d_last = spec.d[:n, n]
@@ -370,9 +374,13 @@ def reduced_friction_matrix(spec: MixtureSpec, c: np.ndarray) -> np.ndarray:
 
 def invert_reduced_friction(spec: MixtureSpec, c: np.ndarray) -> np.ndarray:
     """Inverse of A0(c) by LU factorization with partial pivoting."""
-    A0 = reduced_friction_matrix(spec, c)
+    return _inverse_friction(spec, _require_admissible(c))
+
+
+def _inverse_friction(spec: MixtureSpec, c: np.ndarray) -> np.ndarray:
+    """``invert_reduced_friction`` of an admissible float state, unchecked."""
     try:
-        return np.linalg.inv(A0)
+        return np.linalg.inv(_reduced_friction(spec, c))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
         raise SingularA0(
             "reduced friction matrix reported singular; A0 is provably "
@@ -407,7 +415,11 @@ def entropy_density(c: np.ndarray) -> np.ndarray:
     Defined on the closed simplex with the convention ``0 log 0 = 0``.
     Batched input yields one scalar per state.
     """
-    cf = full_concentrations(_require_admissible(c))
+    return _entropy_density(full_concentrations(_require_admissible(c)))
+
+
+def _entropy_density(cf: np.ndarray) -> np.ndarray:
+    """``entropy_density`` from all N+1 fractions of admissible states."""
     return np.sum(xlogy(cf, cf), axis=-1) - 1.0
 
 
@@ -430,7 +442,11 @@ def entropy_hessian_inverse(c: np.ndarray) -> np.ndarray:
     Unlike the Hessian itself this is a polynomial in c, so it extends
     continuously to the simplex boundary and is safe to assemble there.
     """
-    c = _require_admissible(c)
+    return _hessian_inverse(_require_admissible(c))
+
+
+def _hessian_inverse(c: np.ndarray) -> np.ndarray:
+    """``entropy_hessian_inverse`` of an admissible float state, unchecked."""
     Hinv = -c[..., :, None] * c[..., None, :]
     idx = np.arange(c.shape[-1])
     Hinv[..., idx, idx] += c
@@ -447,8 +463,14 @@ def mobility_matrix(spec: MixtureSpec, c: np.ndarray) -> np.ndarray:
     on the boundary it degenerates by zeroing the columns of vanished
     species.
     """
-    alpha = invert_reduced_friction(spec, c)
-    return alpha @ entropy_hessian_inverse(c)
+    c = _require_admissible(c)
+    return _mobility(spec, c, _hessian_inverse(c))
+
+
+def _mobility(spec: MixtureSpec, c: np.ndarray, hinv: np.ndarray) -> np.ndarray:
+    """``mobility_matrix`` of an admissible float state, unchecked, reusing
+    its Hessian inverse ``hinv``."""
+    return _inverse_friction(spec, c) @ hinv
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,15 @@ solved states are the same, but the iteration gains Newton-like local
 convergence.  ``assemble_linear_system`` still exposes the plain frozen
 system for inspection.
 
+Each iterate w is evaluated once: its fractions c(w) are checked for
+admissibility once, and the Hessian inverse, the mobility and the production
+rates built from them are kept, read-only, in one private evaluation.  The
+assembly at w reads them from there; the evaluation of an accepted state is
+returned with its ``StepResult`` and carried into the step record, the
+audit's production integral and the next step, so nothing is rebuilt at the
+same w.  The public entry points (``advance_step``, ``picard_step``,
+``assemble_linear_system``, ``run_simulation``) keep their input checks.
+
 Unknowns are ordered cell-major (all species of cell 0, then cell 1, ...),
 which keeps the matrix banded with half-bandwidth 2N: couplings reach one
 cell for the mobility stiffness and two cells for the bilaplacian
@@ -37,29 +46,32 @@ from .diagnostics import (
     AuditVerdict,
     DiagnosticsRecord,
     audit_step,
-    dissipation,
-    entropy_functional,
-    relative_entropy,
     solver_slack,
+    _dissipation,
+    _entropy,
+    _relative_entropy,
 )
 from .errors import (
     AuditFailure,
     DimensionMismatch,
     InadmissibleInitialData,
+    InconsistentFields,
     LinearSolveFailure,
     NonlinearDivergence,
     SimulationAborted,
     ValidationError,
 )
-from .grid import Grid1D, integrate, laplacian_squared_lower_bands, neumann_laplacian
+from .grid import Grid1D, integrate, laplacian_squared_lower_bands
 from .mixture import (
     MixtureSpec,
     c_to_w,
-    entropy_hessian_inverse,
     full_concentrations,
     mobility_matrix,
     production_rates,
     w_to_c,
+    _hessian_inverse,
+    _mobility,
+    _require_admissible,
 )
 
 # Final fixed-point increments must sit near rounding level for the
@@ -111,8 +123,49 @@ class SchemeParams:
 
 
 @dataclass(frozen=True)
+class _State:
+    """One fixed-point iterate ``w``, evaluated once.
+
+    Holds ``c = w_to_c(w)``, all N+1 fractions ``cf``, the entropy Hessian
+    inverse, the mobility ``B`` and the production rates ``r`` of the first
+    N species, every array read-only so no consumer can make them disagree.
+    """
+
+    w: np.ndarray
+    c: np.ndarray
+    cf: np.ndarray
+    hinv: np.ndarray
+    B: np.ndarray
+    r: np.ndarray
+
+
+def _evaluate(spec: MixtureSpec, w: np.ndarray) -> _State:
+    """Evaluate the iterate ``w``; its fractions are checked here, once."""
+    c = _require_admissible(w_to_c(w))
+    cf = full_concentrations(c)
+    hinv = _hessian_inverse(c)
+    state = _State(
+        w=w,
+        c=c,
+        cf=cf,
+        hinv=hinv,
+        B=_mobility(spec, c, hinv),
+        r=production_rates(spec.production, cf)[:, : spec.n_reduced],
+    )
+    for a in (w, c, cf, hinv, state.B, state.r):
+        a.setflags(write=False)
+    return state
+
+
+@dataclass(frozen=True)
 class StepResult:
-    """Converged state of one implicit step plus solver telemetry."""
+    """Converged state of one implicit step plus solver telemetry.
+
+    ``state`` is the evaluation of ``w`` that the solver built and checked
+    while accepting it; ``run_simulation`` hands it to the step record and
+    to the next ``advance_step`` instead of evaluating ``w`` again.  ``w``
+    and every array of ``state`` are read-only.
+    """
 
     w: np.ndarray
     iterations: int
@@ -120,6 +173,7 @@ class StepResult:
     linear_residual: float
     theta: float
     restarts: int
+    state: _State = field(repr=False, compare=False)
 
 
 @dataclass
@@ -178,12 +232,25 @@ def regularize_initial(spec: MixtureSpec, c0: np.ndarray, eta: float) -> np.ndar
 
 
 class _Workspace:
-    """Preallocated buffers reused across assemblies of one run."""
+    """Preallocated buffers and scatter indices reused across assemblies.
+
+    ``block_at`` and ``coupling_at`` are flat positions in ``ab`` (banded
+    storage, ab[k, q] = S[q + k, q]): one row per cell for the lower
+    triangle of its diagonal block, taken in ``tril`` order, and one row per
+    interior face for the full block coupling its right cell to its left.
+    """
 
     def __init__(self, spec: MixtureSpec, grid: Grid1D):
         n = spec.n_reduced
-        self.ab = np.zeros((2 * n + 1, n * grid.cells))
+        size = n * grid.cells
+        self.ab = np.zeros((2 * n + 1, size))
         self.l2_bands = laplacian_squared_lower_bands(grid)
+        first = n * np.arange(grid.cells)[:, None]
+        self.tril = np.tril_indices(n)
+        i, j = self.tril
+        self.block_at = (i - j) * size + first + j
+        i, j = np.divmod(np.arange(n * n), n)
+        self.coupling_at = (n + i - j) * size + first[:-1] + j
 
 
 def _assemble_banded(
@@ -191,51 +258,47 @@ def _assemble_banded(
     grid: Grid1D,
     tau: float,
     eps: float,
-    w_bar: np.ndarray,
+    state: _State,
     c_prev: np.ndarray,
     augment: bool,
     work: _Workspace,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Build the frozen-coefficient system in symmetric lower-banded form.
+    """Build the frozen-coefficient system at ``state`` in lower-banded form.
 
     Storage follows the LAPACK convention ab[k, q] = S[q + k, q].  Face
     mobilities are averaged from the two neighboring cells and symmetrized
-    so the assembled matrix is symmetric to the last bit.
+    so the assembled matrix is symmetric to the last bit.  The block and
+    coupling entries occupy disjoint positions of the zeroed ``ab``; the
+    eps-bilaplacian bands are added after them.
     """
     n = spec.n_reduced
     m = grid.cells
     h = grid.h
     ab = work.ab
     ab[:] = 0.0
-    c_bar = w_to_c(w_bar)
-    B = mobility_matrix(spec, c_bar)
+    B = state.B
     Bf = 0.5 * (B[:-1] + B[1:])
     Bf = 0.5 * (Bf + np.swapaxes(Bf, -1, -2))
     dblk = np.zeros((m, n, n))
     dblk[1:] += Bf
     dblk[:-1] += Bf
     dblk /= h
-    b = (h / tau) * (c_prev - c_bar)
-    b += h * production_rates(spec.production, full_concentrations(c_bar))[:, :n]
+    b = (h / tau) * (c_prev - state.c)
+    b += h * state.r
     if augment:
-        hinv = entropy_hessian_inverse(c_bar) * (h / tau)
+        hinv = state.hinv * (h / tau)
         dblk += hinv
-        b += np.einsum("mij,mj->mi", hinv, w_bar)
-    for i in range(n):
-        for j in range(i + 1):
-            ab[i - j, j::n] += dblk[:, i, j]
-    off = Bf / (-h)
-    stop = (m - 1) * n
-    for i in range(n):
-        for j in range(n):
-            ab[n + i - j, j : j + stop : n] += off[:, i, j]
+        b += np.einsum("mij,mj->mi", hinv, state.w)
+    flat = ab.reshape(-1)
+    i, j = work.tril
+    flat[work.block_at] += dblk[:, i, j]
+    flat[work.coupling_at] += (Bf / (-h)).reshape(m - 1, n * n)
     if eps != 0.0:
         l0, l1, l2 = work.l2_bands
         s = eps * h
-        for i in range(n):
-            ab[0, i::n] += s * (l0 + 1.0)
-            ab[n, i : i + (m - 1) * n : n] += s * l1
-            ab[2 * n, i : i + (m - 2) * n : n] += s * l2
+        ab[0] += np.repeat(s * (l0 + 1.0), n)
+        ab[n, : (m - 1) * n] += np.repeat(s * l1, n)
+        ab[2 * n, : (m - 2) * n] += np.repeat(s * l2, n)
     return ab, b.ravel()
 
 
@@ -247,6 +310,34 @@ def _band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
         y[k:] += a * x[: size - k]
         y[: size - k] += a * x[k:]
     return y
+
+
+def _band_norm(ab: np.ndarray) -> float:
+    """Frobenius norm of the symmetric matrix stored in ``ab``."""
+    return np.sqrt(float(np.sum(ab[0] ** 2)) + 2.0 * float(np.sum(ab[1:] ** 2)))
+
+
+def _solve_checked(
+    ab: np.ndarray, b: np.ndarray, norm_S: float
+) -> tuple[np.ndarray, float]:
+    """Solve the banded system by Cholesky and check the solution.
+
+    Returns x and its backward-error residual ||S x - b|| / (||S||_F ||x||
+    + ||b||), with ``norm_S`` = ||S||_F.  A failed factorization, a
+    non-finite solution or a residual above 1e-12 raises
+    ``LinearSolveFailure``.
+    """
+    try:
+        x = solveh_banded(ab, b, lower=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise LinearSolveFailure(f"banded Cholesky failed: {exc}") from exc
+    if not np.all(np.isfinite(x)):
+        raise LinearSolveFailure("linear solver produced non-finite values")
+    denom = max(norm_S * float(np.linalg.norm(x)) + float(np.linalg.norm(b)), 1e-300)
+    resid = float(np.linalg.norm(_band_matvec(ab, x) - b)) / denom
+    if resid > 1e-12:
+        raise LinearSolveFailure(f"linear solve residual {resid:.3e} exceeds 1e-12")
+    return x, resid
 
 
 def assemble_linear_system(
@@ -266,10 +357,10 @@ def assemble_linear_system(
     positive definite whenever eps is positive.
     """
     tau = params.tau if tau is None else tau
-    w_bar = np.asarray(w_bar, dtype=float)
+    state = _evaluate(spec, np.array(w_bar, dtype=float))
     work = _Workspace(spec, grid)
     ab, b = _assemble_banded(
-        spec, grid, tau, params.eps, w_bar, np.asarray(c_prev, dtype=float),
+        spec, grid, tau, params.eps, state, np.asarray(c_prev, dtype=float),
         augment=False, work=work,
     )
     size = b.size
@@ -305,22 +396,12 @@ def picard_step(
     theta = params.damping_theta if theta is None else theta
     if work is None:
         work = _Workspace(spec, grid)
-    w_bar = np.asarray(w_bar, dtype=float)
+    state = _evaluate(spec, np.array(w_bar, dtype=float))
     ab, b = _assemble_banded(
-        spec, grid, tau, params.eps, w_bar, c_prev, augment=augmented, work=work
+        spec, grid, tau, params.eps, state, c_prev, augment=augmented, work=work
     )
-    try:
-        x = solveh_banded(ab, b, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise LinearSolveFailure(f"banded Cholesky failed: {exc}") from exc
-    if not np.all(np.isfinite(x)):
-        raise LinearSolveFailure("linear solver produced non-finite values")
-    norm_S = np.sqrt(float(np.sum(ab[0] ** 2)) + 2.0 * float(np.sum(ab[1:] ** 2)))
-    denom = norm_S * float(np.linalg.norm(x)) + float(np.linalg.norm(b))
-    resid = float(np.linalg.norm(_band_matvec(ab, x) - b)) / max(denom, 1e-300)
-    if resid > 1e-12:
-        raise LinearSolveFailure(f"linear solve residual {resid:.3e} exceeds 1e-12")
-    w_new = (1.0 - theta) * w_bar + theta * x.reshape(w_bar.shape)
+    x, resid = _solve_checked(ab, b, _band_norm(ab))
+    w_new = (1.0 - theta) * state.w + theta * x.reshape(state.w.shape)
     return w_new, resid
 
 
@@ -331,6 +412,7 @@ def advance_step(
     w_prev: np.ndarray,
     tau: float | None = None,
     work: _Workspace | None = None,
+    prev: _State | None = None,
 ) -> StepResult:
     """Advance the state by one implicit step.
 
@@ -351,58 +433,55 @@ def advance_step(
     halved, as does a failed backtracking search; after three restarts or
     once the iteration budget is spent the step raises
     ``NonlinearDivergence``.
+
+    Every iterate, trial points of the backtracking included, is evaluated
+    once (fractions checked, mobility and production built) and assembled
+    from that evaluation.  The accepted state's evaluation comes back as
+    ``StepResult.state``; passing it as ``prev`` to the next call, with its
+    ``w`` as ``w_prev``, spares evaluating the start state again.  A ``prev``
+    whose ``w`` is not the ``w_prev`` array raises ``InconsistentFields``.
     """
     tau = params.tau if tau is None else tau
     if work is None:
         work = _Workspace(spec, grid)
-    w_prev = np.asarray(w_prev, dtype=float)
-    c_prev = w_to_c(w_prev)
+    if prev is None:
+        prev = _evaluate(spec, np.array(w_prev, dtype=float))
+    elif prev.w is not w_prev:
+        raise InconsistentFields("prev is not the evaluation of w_prev")
+    c_prev = prev.c
     theta = params.damping_theta
     restarts = 0
     iterations = 0
     all_increments: list[float] = []
     lin_resid = 0.0
 
-    def assemble_at(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
-        """Assemble at w; return system, rhs, its norm and the residual there."""
+    def assemble_at(state: _State) -> tuple[np.ndarray, np.ndarray, float, float]:
+        """Assemble at a state; return system, rhs, its norm and the residual there."""
         ab, b = _assemble_banded(
-            spec, grid, tau, params.eps, w, c_prev, augment=True, work=work
+            spec, grid, tau, params.eps, state, c_prev, augment=True, work=work
         )
-        norm_S = np.sqrt(
-            float(np.sum(ab[0] ** 2)) + 2.0 * float(np.sum(ab[1:] ** 2))
-        )
-        res = float(np.linalg.norm(_band_matvec(ab, w.ravel()) - b))
+        norm_S = _band_norm(ab)
+        res = float(np.linalg.norm(_band_matvec(ab, state.w.ravel()) - b))
         return ab, b, norm_S, res
 
     while True:
-        w_acc = w_prev
-        ab, b, norm_S, f_acc = assemble_at(w_acc)
+        acc = prev
+        ab, b, norm_S, f_acc = assemble_at(acc)
         increments: list[float] = []
         last_s = 1.0
         polishing = False
         polish_left = 8
         diverged = False
         while iterations < params.picard_max:
-            try:
-                x = solveh_banded(ab, b, lower=True, check_finite=False)
-            except np.linalg.LinAlgError as exc:
-                raise LinearSolveFailure(f"banded Cholesky failed: {exc}") from exc
-            if not np.all(np.isfinite(x)):
-                raise LinearSolveFailure("linear solver produced non-finite values")
-            denom = max(norm_S * float(np.linalg.norm(x)) + float(np.linalg.norm(b)), 1e-300)
-            lin_resid = float(np.linalg.norm(_band_matvec(ab, x) - b)) / denom
-            if lin_resid > 1e-12:
-                raise LinearSolveFailure(
-                    f"linear solve residual {lin_resid:.3e} exceeds 1e-12"
-                )
-            d = x.reshape(w_acc.shape) - w_acc
+            x, lin_resid = _solve_checked(ab, b, norm_S)
+            d = x.reshape(acc.w.shape) - acc.w
             s = 1.0
             accepted = False
             for _ in range(11):
-                w_try = w_acc + (theta * s) * d
-                ab, b, norm_S, f_try = assemble_at(w_try)
+                trial = _evaluate(spec, acc.w + (theta * s) * d)
+                ab, b, norm_S, f_try = assemble_at(trial)
                 floor = 1e-14 * (
-                    norm_S * float(np.linalg.norm(w_try)) + float(np.linalg.norm(b))
+                    norm_S * float(np.linalg.norm(trial.w)) + float(np.linalg.norm(b))
                 )
                 if f_try <= (1.0 - 1e-4 * theta * s) * f_acc or f_try <= floor:
                     accepted = True
@@ -412,11 +491,11 @@ def advance_step(
                 diverged = True
                 break
             iterations += 1
-            inc = float(np.max(np.abs(w_try - w_acc)))
+            inc = float(np.max(np.abs(trial.w - acc.w)))
             prev_inc = increments[-1] if increments else np.inf
             increments.append(inc)
             all_increments.append(inc)
-            w_acc = w_try
+            acc = trial
             f_acc = f_try
             at_floor = f_acc <= floor
             if inc <= params.picard_tol or at_floor:
@@ -433,12 +512,13 @@ def advance_step(
                     )
                 if done:
                     return StepResult(
-                        w=w_acc,
+                        w=acc.w,
                         iterations=iterations,
                         final_increment=inc,
                         linear_residual=lin_resid,
                         theta=theta,
                         restarts=restarts,
+                        state=acc,
                     )
                 polishing = True
                 continue
@@ -465,20 +545,20 @@ def advance_step(
 
 
 def _make_record(
-    spec: MixtureSpec,
     grid: Grid1D,
     t: float,
-    c: np.ndarray,
+    B: np.ndarray,
+    cf: np.ndarray,
     w: np.ndarray,
     reference: np.ndarray,
     iterations: int,
 ) -> DiagnosticsRecord:
-    raw, sqrt_form = dissipation(spec, grid, c, w, enforce=False)
-    cf = full_concentrations(c)
+    """Diagnostics of the state w from its mobilities and full fractions."""
+    raw, sqrt_form = _dissipation(grid, B, cf, w)
     return DiagnosticsRecord(
         time=t,
-        entropy=entropy_functional(grid, c),
-        relative_entropy=relative_entropy(grid, c, reference),
+        entropy=_entropy(grid, cf),
+        relative_entropy=_relative_entropy(grid, cf, reference),
         dissipation_sqrt=sqrt_form,
         dissipation_raw=raw,
         masses=integrate(grid, cf),
@@ -508,8 +588,11 @@ def run_simulation(
     step size.
 
     ``hooks`` are called after every accepted step as
-    ``hook(step_index, t, c, w, record)``.  ``record_every`` thins the
-    stored records (the initial and final states are always kept).
+    ``hook(step_index, t, c, w, record)``; ``c`` and ``w`` are read-only.
+    ``record_every`` thins the stored records (the initial and final states
+    are always kept).  Each accepted state's evaluation from the solver
+    supplies its record, its production integral and the start of the next
+    step.
     """
     if audit_mode not in ("enforce", "warn", "off"):
         raise ValidationError("audit_mode", "must be 'enforce', 'warn' or 'off'")
@@ -519,10 +602,10 @@ def run_simulation(
         raise ValidationError("eps", "the implicit solver needs eps > 0")
     c = regularize_initial(spec, c0, params.eta_floor)
     w = c_to_w(c)
-    masses0 = integrate(grid, full_concentrations(c))
+    cf = full_concentrations(c)
+    masses0 = integrate(grid, cf)
     reference = masses0 / masses0.sum()
     work = _Workspace(spec, grid)
-    laplacian = neumann_laplacian(grid)
     slack = solver_slack(params.picard_tol, spec.n_reduced, grid.cells)
     result = SimulationResult(
         spec=spec,
@@ -533,9 +616,12 @@ def run_simulation(
         w_time_integral=np.zeros(spec.n_reduced),
         production_time_integral=np.zeros(spec.n_reduced),
     )
-    record = _make_record(spec, grid, 0.0, c, w, reference, 0)
+    # the initial record describes the regularized data c itself, which
+    # differs from the evaluation's w_to_c(w) at rounding level
+    record = _make_record(grid, 0.0, mobility_matrix(spec, c), cf, w, reference, 0)
     result.records.append(record)
     result.c, result.w = c, w
+    state = _evaluate(spec, w)
 
     # audits need the previous record, hooks receive the current one; with
     # both absent the record is only built at the steps actually stored
@@ -552,7 +638,9 @@ def run_simulation(
         step = None
         for attempt in range(6):
             try:
-                step = advance_step(spec, grid, params, w, tau=tau_k, work=work)
+                step = advance_step(
+                    spec, grid, params, w, tau=tau_k, work=work, prev=state
+                )
                 break
             except NonlinearDivergence:
                 result.tau_retries += 1
@@ -566,18 +654,17 @@ def run_simulation(
             raise SimulationAborted(f"step {k + 1} failed", partial=result)
         k += 1
         t += tau_k
-        w_new = step.w
-        c_new = w_to_c(w_new)
+        state = step.state
+        c_new, w_new = state.c, state.w
         last_iterations = step.iterations
         store = k % record_every == 0
         if build_every or store:
             new_record = _make_record(
-                spec, grid, t, c_new, w_new, reference, step.iterations
+                grid, t, state.B, state.cf, w_new, reference, step.iterations
             )
         else:
             new_record = None
-        r_full = production_rates(spec.production, full_concentrations(c_new))
-        r_int = integrate(grid, r_full[:, : spec.n_reduced])
+        r_int = integrate(grid, state.r)
         w_int = integrate(grid, w_new)
         result.w_time_integral += tau_k * w_int
         result.production_time_integral += tau_k * r_int
@@ -586,7 +673,6 @@ def run_simulation(
                 spec, grid, tau_k, params.eps, slack,
                 record, new_record, c_new, w_new,
                 production_integral=r_int,
-                laplacian=laplacian,
             )
             result.verdicts.append(verdict)
             if not verdict.passed:
@@ -618,6 +704,8 @@ def run_simulation(
             last_stored = k
     if result.steps and last_stored != result.steps:
         if record is None:
-            record = _make_record(spec, grid, t, c, w, reference, last_iterations)
+            record = _make_record(
+                grid, t, state.B, state.cf, w, reference, last_iterations
+            )
         result.records.append(record)
     return result

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import msdiff.stepper
 from msdiff import (
     BadReference,
     DiagnosticsRecord,
@@ -18,14 +19,21 @@ from msdiff import (
     ProductionLaw,
     audit_step,
     c_to_w,
+    config_from_pairs,
     dissipation,
     entropy_functional,
+    entropy_hessian_inverse,
     face_gradient,
     fit_decay_rate,
     full_concentrations,
     integrate,
+    materialize,
+    mobility_matrix,
+    neumann_laplacian,
+    production_rates,
     reconstruct_fluxes,
     relative_entropy,
+    run_simulation,
     solver_slack,
     w_to_c,
 )
@@ -402,3 +410,70 @@ class TestAuditStep:
         slack = solver_slack(1e-10, 2, 8)
         verdict = audit_step(spec, grid, 1e-3, 1.0, slack, prev, new, c, w)
         assert not verdict.entropy_ok
+
+    def test_stencil_matches_dense_laplacian_reference(self):
+        # a rough state and eps = 1 make the regularization payment dominate
+        # the entropy margin, so the margin compares the two Laplacians
+        grid = Grid1D(1.0, 16)
+        spec = ternary_123_spec()
+        rng = np.random.default_rng(5)
+        w = rng.normal(size=(16, 2))
+        c = w_to_c(w)
+        prev = make_record(grid, spec, 0.0, c, w)
+        new = make_record(grid, spec, 1e-3, c, w)
+        tau, eps, slack = 1e-3, 1.0, solver_slack(1e-10, 2, 16)
+        verdict = audit_step(spec, grid, tau, eps, slack, prev, new, c, w)
+        L = neumann_laplacian(grid)
+        payment = eps * tau * float(
+            integrate(grid, np.sum((L @ w) ** 2 + w**2, axis=-1))
+        )
+        expected = prev.entropy + slack - (
+            new.entropy + (4.0 * tau / spec.Delta) * new.dissipation_sqrt + payment
+        )
+        assert payment > 1.0
+        assert abs(verdict.entropy_margin - expected) <= 1e-12 * payment
+
+
+class TestCarriedEvaluation:
+    def test_run_records_match_public_diagnostics_bitwise(self, monkeypatch):
+        # the solver's evaluation of each accepted state feeds the record;
+        # it must agree to the last bit with the public checked functions
+        steps = []
+        advance = msdiff.stepper.advance_step
+
+        def capture(*args, **kwargs):
+            steps.append(advance(*args, **kwargs))
+            return steps[-1]
+
+        monkeypatch.setattr(msdiff.stepper, "advance_step", capture)
+        config = config_from_pairs(
+            [("scenario", "quaternary_reaction"), ("cells", "12"), ("t_end", "0.003")]
+        )
+        spec, grid, params, c0 = materialize(config)
+        result = run_simulation(spec, grid, params, c0)
+        assert result.steps == len(steps) == 3
+        assert all(v.passed for v in result.verdicts)
+        n = spec.n_reduced
+        for step, record in zip(steps, result.records[1:]):
+            state = step.state
+            c = w_to_c(step.w)
+            cf = full_concentrations(c)
+            assert state.w is step.w
+            assert np.array_equal(state.c, c)
+            assert np.array_equal(state.cf, cf)
+            assert np.array_equal(state.hinv, entropy_hessian_inverse(c))
+            assert np.array_equal(state.B, mobility_matrix(spec, c))
+            assert np.array_equal(
+                state.r, production_rates(spec.production, cf)[:, :n]
+            )
+            raw, sqrt_form = dissipation(spec, grid, c, step.w, enforce=False)
+            assert record.dissipation_raw == raw
+            assert record.dissipation_sqrt == sqrt_form
+            assert record.entropy == entropy_functional(grid, c)
+            assert record.relative_entropy == relative_entropy(
+                grid, c, result.reference
+            )
+            assert np.array_equal(record.masses, integrate(grid, cf))
+            assert record.min_c == float(np.min(cf))
+        assert result.w is steps[-1].w
+        assert not result.w.flags.writeable

@@ -15,7 +15,9 @@ from msdiff import (
     DimensionMismatch,
     Grid1D,
     InadmissibleInitialData,
+    InconsistentFields,
     NonlinearDivergence,
+    ProductionLaw,
     SchemeParams,
     SimulationAborted,
     SimulationResult,
@@ -24,10 +26,14 @@ from msdiff import (
     assemble_linear_system,
     c_to_w,
     diffusivity_matrix_from_upper,
+    entropy_hessian_inverse,
     full_concentrations,
     integrate,
+    laplacian_squared_lower_bands,
+    mobility_matrix,
     new_mixture_spec,
     picard_step,
+    production_rates,
     regularize_initial,
     run_simulation,
     step_profile,
@@ -56,6 +62,56 @@ def rough_setup(**kw):
     c0 = step_profile(grid, np.array([0.0, 0.5]), np.array([0.5, 0.5]))
     params = SchemeParams(tau=kw.pop("tau", 1e-3), t_end=kw.pop("t_end", 1e-3), **kw)
     return spec, grid, params, c0
+
+
+def random_spec(n_species, seed=0):
+    rng = np.random.default_rng(seed)
+    upper = rng.uniform(0.05, 2.0, size=n_species * (n_species - 1) // 2)
+    D = diffusivity_matrix_from_upper(upper, n_species)
+    law = ProductionLaw.quaternary_reversible() if n_species == 5 else None
+    return new_mixture_spec(n_species, D, law)
+
+
+def loop_assemble(spec, grid, tau, eps, w_bar, c_prev, augment):
+    """Banded frozen system built with explicit scatter loops.
+
+    The reference for the vectorised ``_assemble_banded``: same arithmetic,
+    from the public checked mixture functions, one band slice at a time.
+    """
+    n = spec.n_reduced
+    m = grid.cells
+    h = grid.h
+    ab = np.zeros((2 * n + 1, n * m))
+    c_bar = w_to_c(w_bar)
+    B = mobility_matrix(spec, c_bar)
+    Bf = 0.5 * (B[:-1] + B[1:])
+    Bf = 0.5 * (Bf + np.swapaxes(Bf, -1, -2))
+    dblk = np.zeros((m, n, n))
+    dblk[1:] += Bf
+    dblk[:-1] += Bf
+    dblk /= h
+    b = (h / tau) * (c_prev - c_bar)
+    b += h * production_rates(spec.production, full_concentrations(c_bar))[:, :n]
+    if augment:
+        hinv = entropy_hessian_inverse(c_bar) * (h / tau)
+        dblk += hinv
+        b += np.einsum("mij,mj->mi", hinv, w_bar)
+    for i in range(n):
+        for j in range(i + 1):
+            ab[i - j, j::n] += dblk[:, i, j]
+    off = Bf / (-h)
+    stop = (m - 1) * n
+    for i in range(n):
+        for j in range(n):
+            ab[n + i - j, j : j + stop : n] += off[:, i, j]
+    if eps != 0.0:
+        l0, l1, l2 = laplacian_squared_lower_bands(grid)
+        s = eps * h
+        for i in range(n):
+            ab[0, i::n] += s * (l0 + 1.0)
+            ab[n, i : i + (m - 1) * n : n] += s * l1
+            ab[2 * n, i : i + (m - 2) * n : n] += s * l2
+    return ab, b.ravel()
 
 
 class TestSchemeParams:
@@ -214,6 +270,56 @@ class TestPicardStep:
             increments.append(float(np.max(np.abs(w_next - w))))
             w = w_next
         assert increments[0] > increments[1] > increments[2] > increments[3]
+
+
+class TestBandAssembly:
+    @pytest.mark.parametrize("n_species", [3, 4, 5])
+    @pytest.mark.parametrize("cells", [2, 3, 7, 128])
+    @pytest.mark.parametrize("augment", [True, False])
+    @pytest.mark.parametrize("eps", [0.0, 1e-3])
+    def test_vectorised_scatter_matches_loops(self, n_species, cells, augment, eps):
+        spec = random_spec(n_species, seed=cells)
+        grid = Grid1D(1.3, cells)
+        rng = np.random.default_rng(n_species * 1000 + cells)
+        w_bar = rng.normal(size=(cells, spec.n_reduced))
+        c_prev = w_to_c(rng.normal(size=(cells, spec.n_reduced)))
+        ab_ref, b_ref = loop_assemble(spec, grid, 0.01, eps, w_bar, c_prev, augment)
+        work = msdiff.stepper._Workspace(spec, grid)
+        state = msdiff.stepper._evaluate(spec, w_bar.copy())
+        ab, b = msdiff.stepper._assemble_banded(
+            spec, grid, 0.01, eps, state, c_prev, augment, work
+        )
+        assert np.array_equal(ab, ab_ref)
+        assert np.array_equal(b, b_ref)
+        # the buffer is reused: a second assembly must not keep old entries
+        ab, b = msdiff.stepper._assemble_banded(
+            spec, grid, 0.01, eps, state, c_prev, augment, work
+        )
+        assert np.array_equal(ab, ab_ref)
+
+    def test_evaluation_arrays_are_read_only(self):
+        spec = random_spec(5)
+        w = np.zeros((4, 4))
+        state = msdiff.stepper._evaluate(spec, w)
+        for a in (state.w, state.c, state.cf, state.hinv, state.B, state.r):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+    def test_public_entry_leaves_caller_array_writable(self):
+        spec, grid, params, c0 = heat_setup(cells=8)
+        w0 = c_to_w(regularize_initial(spec, c0, params.eta_floor))
+        advance_step(spec, grid, params, w0)
+        picard_step(spec, grid, params, w0, w_to_c(w0))
+        w0[0, 0] = 0.0
+
+    def test_carried_evaluation_must_be_of_w_prev(self):
+        spec, grid, params, c0 = heat_setup(cells=8)
+        w0 = c_to_w(regularize_initial(spec, c0, params.eta_floor))
+        step = advance_step(spec, grid, params, w0)
+        nxt = advance_step(spec, grid, params, step.w, prev=step.state)
+        assert np.array_equal(nxt.w, advance_step(spec, grid, params, step.w).w)
+        with pytest.raises(InconsistentFields):
+            advance_step(spec, grid, params, w0, prev=step.state)
 
 
 class TestAdvanceStep:
@@ -404,6 +510,18 @@ class TestRunSimulation:
             run_simulation(spec, grid, params, c0, audit_mode="loud")
         with pytest.raises(ValidationError):
             run_simulation(spec, grid, params, c0, record_every=0)
+
+    def test_audited_run_builds_no_dense_laplacian(self, monkeypatch):
+        def refuse(grid):
+            raise AssertionError("dense Laplacian built")
+
+        monkeypatch.setattr(msdiff.grid, "neumann_laplacian", refuse)
+        for module in (msdiff.stepper, msdiff.diagnostics):
+            monkeypatch.setattr(module, "neumann_laplacian", refuse, raising=False)
+        spec, grid, params, c0 = heat_setup(t_end=0.003)
+        result = run_simulation(spec, grid, params, c0)
+        assert len(result.verdicts) == 3
+        assert all(v.passed for v in result.verdicts)
 
     def test_zero_eps_rejected_at_run_time(self):
         spec, grid, params, c0 = heat_setup(eps=0.0)
