@@ -27,10 +27,10 @@ from .grid import Grid1D, divergence, face_gradient, integrate
 from .mixture import (
     MixtureSpec,
     full_concentrations,
-    invert_reduced_friction,
     mobility_matrix,
     w_to_c,
     _entropy_density,
+    _inverse_friction,
     _require_admissible,
     _require_strict,
 )
@@ -96,7 +96,7 @@ def relative_entropy(grid: Grid1D, c: np.ndarray, reference: np.ndarray) -> floa
     exactly when the field equals the reference everywhere.
     """
     reference = np.asarray(reference, dtype=float)
-    cf = full_concentrations(c)
+    cf = full_concentrations(_require_admissible(c))
     if reference.shape != cf.shape[-1:]:
         raise BadReference(
             f"reference must list all {cf.shape[-1]} fractions"
@@ -190,7 +190,8 @@ def reconstruct_fluxes(
     n1 = spec.n_species
     c_face = 0.5 * (c[:-1] + c[1:])
     g_red = (c[1:] - c[:-1]) / h
-    alpha = invert_reduced_friction(spec, c_face)
+    # averages of strict states are strict: no second check
+    alpha = _inverse_friction(spec, c_face)
     J_red = -np.einsum("mij,mj->mi", alpha, g_red)
     J = np.zeros((grid.cells + 1, n1))
     J[1:-1, :-1] = J_red

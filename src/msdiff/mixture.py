@@ -14,6 +14,12 @@ Vocabulary used throughout the package:
 
 All matrix-valued functions are vectorized over leading axes: a ``(M, N)``
 batch of states yields ``(M, N, N)`` or ``(M, N+1, N+1)`` stacks.
+
+For three species (N = 2) the inverse of the reduced friction matrix A0 and
+the mobility ``B = A0^-1 H^-1`` are written out from the adjugate of A0,
+whose determinant is linear in c and at least ``delta**2`` on the closed
+simplex; a LAPACK call per 2x2 matrix costs far more.  More species use
+LAPACK's batched inverse.
 """
 
 from __future__ import annotations
@@ -373,19 +379,56 @@ def _reduced_friction(spec: MixtureSpec, c: np.ndarray) -> np.ndarray:
 
 
 def invert_reduced_friction(spec: MixtureSpec, c: np.ndarray) -> np.ndarray:
-    """Inverse of A0(c) by LU factorization with partial pivoting."""
+    """Inverse of A0(c).
+
+    Three species (N = 2) use the closed form ``adj(A0) / det(A0)``; more
+    species use LAPACK's LU factorization with partial pivoting.  Both are
+    safe on the closed simplex: the eigenvalues of A0 lie in
+    ``[delta, Delta)``, so ``det(A0) >= delta**N > 0``.
+    """
     return _inverse_friction(spec, _require_admissible(c))
+
+
+_SINGULAR_A0 = (
+    "reduced friction matrix reported singular; A0 is provably "
+    "invertible on the simplex, so the input state is corrupted"
+)
 
 
 def _inverse_friction(spec: MixtureSpec, c: np.ndarray) -> np.ndarray:
     """``invert_reduced_friction`` of an admissible float state, unchecked."""
+    if spec.n_reduced == 2:
+        adj, det = _adjugate2(spec, c)
+        return adj / det[..., None, None]
     try:
         return np.linalg.inv(_reduced_friction(spec, c))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise SingularA0(
-            "reduced friction matrix reported singular; A0 is provably "
-            "invertible on the simplex, so the input state is corrupted"
-        ) from exc
+        raise SingularA0(_SINGULAR_A0) from exc
+
+
+def _adjugate2(spec: MixtureSpec, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Adjugate and determinant of A0(c) for three species (N = 2).
+
+    With ``p = d_12 - d_13`` and ``q = d_21 - d_23`` the reduced friction
+    matrix is ``A0 = [[p c_2 + d_13, -p c_1], [-q c_2, q c_1 + d_23]]``.
+    Its determinant ``d_13 d_23 + q d_13 c_1 + p d_23 c_2`` is linear in c
+    and equals ``d_13 d_23``, ``d_12 d_13`` and ``d_12 d_23`` at the corners
+    of the simplex, so it is at least ``delta**2`` on the closed simplex.
+    Raises ``SingularA0`` unless every determinant is finite and positive.
+    """
+    d = spec.d
+    p = d[0, 1] - d[0, 2]
+    q = d[1, 0] - d[1, 2]
+    c1, c2 = c[..., 0], c[..., 1]
+    det = d[0, 2] * d[1, 2] + q * d[0, 2] * c1 + p * d[1, 2] * c2
+    if not np.all((det > 0.0) & (det < np.inf)):
+        raise SingularA0(_SINGULAR_A0)
+    adj = np.empty(c.shape + (2,))
+    adj[..., 0, 0] = q * c1 + d[1, 2]
+    adj[..., 0, 1] = p * c1
+    adj[..., 1, 0] = q * c2
+    adj[..., 1, 1] = p * c2 + d[0, 2]
+    return adj, det
 
 
 def reduced_friction_inverse_bound(spec: MixtureSpec) -> float:
@@ -456,12 +499,14 @@ def _hessian_inverse(c: np.ndarray) -> np.ndarray:
 def mobility_matrix(spec: MixtureSpec, c: np.ndarray) -> np.ndarray:
     """Mobility B(c) = A0(c)^-1 H(c)^-1 driving the entropy-variable flux.
 
-    Assembled as the product of the LU inverse of A0 with the closed-form
-    Hessian inverse, i.e. sums of A0^-1 entries times concentration
-    polynomials.  No division by individual fractions occurs, so boundary
-    states are safe.  B is symmetric positive definite on interior states;
-    on the boundary it degenerates by zeroing the columns of vanished
-    species.
+    The inverse of A0 multiplies the closed-form Hessian inverse, so B is a
+    sum of A0^-1 entries times concentration polynomials.  For three species
+    (N = 2) the four entries of ``adj(A0) H^-1 / det(A0)`` are formed
+    directly, with ``det(A0) >= delta**2 > 0`` on the closed simplex; more
+    species multiply the LAPACK inverse of A0.  No division by individual
+    fractions occurs, so boundary states are safe.  B is symmetric positive
+    definite on interior states; on the boundary it degenerates by zeroing
+    the columns of vanished species.
     """
     c = _require_admissible(c)
     return _mobility(spec, c, _hessian_inverse(c))
@@ -470,7 +515,19 @@ def mobility_matrix(spec: MixtureSpec, c: np.ndarray) -> np.ndarray:
 def _mobility(spec: MixtureSpec, c: np.ndarray, hinv: np.ndarray) -> np.ndarray:
     """``mobility_matrix`` of an admissible float state, unchecked, reusing
     its Hessian inverse ``hinv``."""
-    return _inverse_friction(spec, c) @ hinv
+    if spec.n_reduced != 2:
+        return _inverse_friction(spec, c) @ hinv
+    adj, det = _adjugate2(spec, c)
+    a00, a01 = adj[..., 0, 0], adj[..., 0, 1]
+    a10, a11 = adj[..., 1, 0], adj[..., 1, 1]
+    h00, h01, h11 = hinv[..., 0, 0], hinv[..., 0, 1], hinv[..., 1, 1]
+    B = np.empty_like(adj)
+    B[..., 0, 0] = a00 * h00 + a01 * h01
+    B[..., 0, 1] = a00 * h01 + a01 * h11
+    B[..., 1, 0] = a10 * h00 + a11 * h01
+    B[..., 1, 1] = a10 * h01 + a11 * h11
+    B /= det[..., None, None]
+    return B
 
 
 # ---------------------------------------------------------------------------

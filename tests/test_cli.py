@@ -2,8 +2,10 @@
 
 import filecmp
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,10 +287,19 @@ class TestCertifyCommand:
 
 class TestConsoleEntry:
     def test_module_invocation(self, tmp_path):
+        # the child imports the same msdiff as this process, whatever
+        # PYTHONPATH the suite was started with
+        src = str(Path(msdiff.cli.__file__).resolve().parents[1])
+        inherited = os.environ.get("PYTHONPATH")
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join([src, inherited] if inherited else [src]),
+        )
         proc = subprocess.run(
             [sys.executable, "-m", "msdiff.cli", "presets"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert "heat_check" in proc.stdout

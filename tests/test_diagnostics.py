@@ -11,6 +11,7 @@ from msdiff import (
     DiagnosticsRecord,
     DissipationContractViolation,
     Grid1D,
+    InadmissibleState,
     InconsistentFields,
     InsufficientData,
     MixtureSpec,
@@ -121,6 +122,17 @@ class TestRelativeEntropy:
             relative_entropy(grid, c, [0.7, 0.3, 0.0])  # boundary reference
         with pytest.raises(BadReference):
             relative_entropy(grid, c, [0.5, 0.4, 0.2])  # sums to 1.1
+
+    def test_inadmissible_field_rejected(self):
+        # outside the simplex the integrand is nan; the check raises instead
+        grid = Grid1D(1.0, 4)
+        ref = np.full(3, 1 / 3)
+        negative = np.tile([0.3, 0.3], (4, 1))
+        negative[2, 0] = -0.1
+        with pytest.raises(InadmissibleState):
+            relative_entropy(grid, negative, ref)
+        with pytest.raises(InadmissibleState):
+            relative_entropy(grid, np.tile([0.7, 0.5], (4, 1)), ref)
 
 
 class TestSolverSlack:

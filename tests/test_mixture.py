@@ -1,13 +1,17 @@
 """Friction matrices, entropy structure, and the w <-> c transform.
 
 Matrix oracles below are hand-derived 3x3 / 2x2 evaluations, frozen as
-literals; property tests sample the simplex interior with a fixed seed.
+literals; property tests sample the simplex interior with a fixed seed,
+except the hypothesis test that holds the closed-form ternary kernels to
+the LAPACK inverse down to near-vacuum states.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msdiff import (
     EPS_ADMISSIBLE,
@@ -17,6 +21,7 @@ from msdiff import (
     NonSymmetricD,
     NotStrictlyAdmissible,
     ProductionLaw,
+    SingularA0,
     WrongSpeciesCount,
     c_to_w,
     diffusivity_matrix_from_upper,
@@ -36,6 +41,7 @@ from msdiff import (
     reduced_friction_matrix,
     w_to_c,
 )
+from msdiff.mixture import _inverse_friction, _mobility
 
 
 def equal_d_spec(n_species=3, d=1.0):
@@ -313,6 +319,61 @@ class TestMobility:
             B = mobility_matrix(spec, c_full[:-1])
             assert np.all(np.isfinite(B))
             assert np.max(np.abs(B)) <= bound
+
+
+def sampled_spec_and_states(n_species, seed, batch):
+    """A mixture with diffusivity ratios up to 10^3 and Dirichlet states,
+    near vacuum for small concentration parameters; ``batch=None`` gives a
+    single ``(N,)`` state, otherwise ``(batch, N)``."""
+    rng = np.random.default_rng(seed)
+    upper = 10.0 ** rng.uniform(-1.5, 1.5, size=n_species * (n_species - 1) // 2)
+    spec = new_mixture_spec(n_species, diffusivity_matrix_from_upper(upper, n_species))
+    alpha = 10.0 ** rng.uniform(-2.0, 0.5)
+    c_full = rng.dirichlet(np.full(n_species, alpha), size=batch)
+    return spec, c_full[..., :-1]
+
+
+def lapack_reference(spec, c):
+    """A0^-1 and B = A0^-1 H^-1 by LAPACK inverse and matrix product."""
+    inv = np.linalg.inv(reduced_friction_matrix(spec, c))
+    return inv, inv @ entropy_hessian_inverse(c)
+
+
+class TestClosedFormTernary:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.one_of(st.none(), st.integers(1, 16)),
+    )
+    def test_matches_lapack_reference(self, seed, batch):
+        spec, c = sampled_spec_and_states(3, seed, batch)
+        inv_ref, B_ref = lapack_reference(spec, c)
+        inv, B = invert_reduced_friction(spec, c), mobility_matrix(spec, c)
+        assert inv.shape == inv_ref.shape and B.shape == B_ref.shape
+        for got, ref in ((inv, inv_ref), (B, B_ref)):
+            scale = np.max(np.abs(ref), axis=(-2, -1))
+            err = np.max(np.abs(got - ref), axis=(-2, -1))
+            assert np.all(err <= 1e-12 * scale)
+        asym = np.max(np.abs(B - np.swapaxes(B, -1, -2)), axis=(-2, -1))
+        assert np.all(asym <= 1e-12 * np.max(np.abs(B_ref), axis=(-2, -1)))
+
+    @pytest.mark.parametrize("n_species", [4, 5])
+    @pytest.mark.parametrize("batch", [None, 9])
+    def test_more_species_keep_lapack_bitwise(self, n_species, batch):
+        for seed in range(20):
+            spec, c = sampled_spec_and_states(n_species, seed, batch)
+            inv_ref, B_ref = lapack_reference(spec, c)
+            assert np.array_equal(invert_reduced_friction(spec, c), inv_ref)
+            assert np.array_equal(mobility_matrix(spec, c), B_ref)
+
+    def test_corrupted_state_raises_singular(self):
+        # the public names reject such states first; the kernels still refuse
+        spec = ternary_123_spec()
+        c = np.array([[0.2, 0.3], [np.nan, 0.3]])
+        with pytest.raises(SingularA0):
+            _inverse_friction(spec, c)
+        with pytest.raises(SingularA0):
+            _mobility(spec, c, entropy_hessian_inverse(np.zeros((2, 2))))
 
 
 # ---------------------------------------------------------------------------
