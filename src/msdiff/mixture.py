@@ -20,6 +20,16 @@ the mobility ``B = A0^-1 H^-1`` are written out from the adjugate of A0,
 whose determinant is linear in c and at least ``delta**2`` on the closed
 simplex; a LAPACK call per 2x2 matrix costs far more.  More species use
 LAPACK's batched inverse.
+
+The per-state kernels that every solver iterate runs (``w_to_c``,
+``full_concentrations``, the admissibility tests and the ternary Hessian
+inverse) loop over the N species columns ``x[..., i]`` instead of reducing
+or broadcasting along the trailing axis: that axis is only N long, and
+numpy would run one tiny inner loop per cell, while each column operation
+covers all cells at once.  The species sums are added left to right from
+0.0, which is numpy's own order for up to 7 terms, so the results are
+bitwise those of ``np.sum(axis=-1)`` there; from 8 terms on numpy sums
+pairwise and the two differ by a few ulps.
 """
 
 from __future__ import annotations
@@ -277,23 +287,38 @@ def new_mixture_spec(
 # state helpers
 
 
+def _species_sum(x: np.ndarray) -> np.ndarray:
+    """``np.sum(x, axis=-1)`` added up one species column at a time.
+
+    Starting from 0.0 and adding left to right is numpy's own order for up
+    to 7 terms, so the result is bitwise the same there, signed zeros
+    included.
+    """
+    total = 0.0 + x[..., 0]
+    for i in range(1, x.shape[-1]):
+        total = total + x[..., i]
+    return total
+
+
 def full_concentrations(c: np.ndarray) -> np.ndarray:
     """Append the implied final fraction ``1 - sum(c)`` on the trailing axis."""
     c = np.asarray(c, dtype=float)
-    last = 1.0 - np.sum(c, axis=-1, keepdims=True)
-    return np.concatenate([c, last], axis=-1)
+    cf = np.empty(c.shape[:-1] + (c.shape[-1] + 1,))
+    cf[..., :-1] = c
+    cf[..., -1] = 1.0 - _species_sum(c)
+    return cf
 
 
 def is_admissible(c: np.ndarray, tol: float = 0.0) -> bool:
     """True when all fractions are >= -tol and each state sums to <= 1 + tol."""
     c = np.asarray(c, dtype=float)
-    return bool(np.all(c >= -tol) and np.all(np.sum(c, axis=-1) <= 1.0 + tol))
+    return bool(np.all(c >= -tol) and np.all(_species_sum(c) <= 1.0 + tol))
 
 
 def is_strictly_admissible(c: np.ndarray, eps: float = EPS_ADMISSIBLE) -> bool:
     """True when every fraction, including the implied last, exceeds ``eps``."""
     c = np.asarray(c, dtype=float)
-    return bool(np.all(c >= eps) and np.all(np.sum(c, axis=-1) <= 1.0 - eps))
+    return bool(np.all(c >= eps) and np.all(_species_sum(c) <= 1.0 - eps))
 
 
 def _require_admissible(c: np.ndarray) -> np.ndarray:
@@ -489,10 +514,21 @@ def entropy_hessian_inverse(c: np.ndarray) -> np.ndarray:
 
 
 def _hessian_inverse(c: np.ndarray) -> np.ndarray:
-    """``entropy_hessian_inverse`` of an admissible float state, unchecked."""
+    """``entropy_hessian_inverse`` of an admissible float state, unchecked.
+
+    Three species write the three distinct entries out; more species add
+    ``c`` to the outer product through a strided view of its diagonal.
+    """
+    n = c.shape[-1]
+    if n == 2:
+        c1, c2 = c[..., 0], c[..., 1]
+        Hinv = np.empty(c.shape + (2,))
+        Hinv[..., 0, 0] = c1 - c1 * c1
+        Hinv[..., 0, 1] = Hinv[..., 1, 0] = -(c1 * c2)
+        Hinv[..., 1, 1] = c2 - c2 * c2
+        return Hinv
     Hinv = -c[..., :, None] * c[..., None, :]
-    idx = np.arange(c.shape[-1])
-    Hinv[..., idx, idx] += c
+    Hinv.reshape(c.shape[:-1] + (n * n,))[..., :: n + 1] += c
     return Hinv
 
 
@@ -522,11 +558,10 @@ def _mobility(spec: MixtureSpec, c: np.ndarray, hinv: np.ndarray) -> np.ndarray:
     a10, a11 = adj[..., 1, 0], adj[..., 1, 1]
     h00, h01, h11 = hinv[..., 0, 0], hinv[..., 0, 1], hinv[..., 1, 1]
     B = np.empty_like(adj)
-    B[..., 0, 0] = a00 * h00 + a01 * h01
-    B[..., 0, 1] = a00 * h01 + a01 * h11
-    B[..., 1, 0] = a10 * h00 + a11 * h01
-    B[..., 1, 1] = a10 * h01 + a11 * h11
-    B /= det[..., None, None]
+    B[..., 0, 0] = (a00 * h00 + a01 * h01) / det
+    B[..., 0, 1] = (a00 * h01 + a01 * h11) / det
+    B[..., 1, 0] = (a10 * h00 + a11 * h01) / det
+    B[..., 1, 1] = (a10 * h01 + a11 * h11) / det
     return B
 
 
@@ -543,10 +578,17 @@ def w_to_c(w: np.ndarray) -> np.ndarray:
     underflow saturate at 0/1 in floating point.
     """
     w = np.asarray(w, dtype=float)
-    shift = np.maximum(np.max(w, axis=-1, keepdims=True), 0.0)
-    e = np.exp(w - shift)
-    denom = np.exp(-shift) + np.sum(e, axis=-1, keepdims=True)
-    return e / denom
+    species = range(w.shape[-1])
+    shift = np.maximum(w[..., 0], 0.0)
+    for i in species[1:]:
+        shift = np.maximum(shift, w[..., i])
+    e = np.empty(w.shape)
+    for i in species:
+        e[..., i] = np.exp(w[..., i] - shift)
+    denom = np.exp(-shift) + _species_sum(e)
+    for i in species:
+        e[..., i] /= denom
+    return e
 
 
 def c_to_w(c: np.ndarray) -> np.ndarray:

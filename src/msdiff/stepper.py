@@ -232,18 +232,23 @@ def regularize_initial(spec: MixtureSpec, c0: np.ndarray, eta: float) -> np.ndar
 
 
 class _Workspace:
-    """Preallocated buffers and scatter indices reused across assemblies.
+    """Preallocated buffers, scatter indices and eps bands reused across
+    assemblies.
 
     ``block_at`` and ``coupling_at`` are flat positions in ``ab`` (banded
     storage, ab[k, q] = S[q + k, q]): one row per cell for the lower
     triangle of its diagonal block, taken in ``tril`` order, and one row per
     interior face for the full block coupling its right cell to its left.
+    ``eps_bands(eps)`` holds the eps-bilaplacian term ``eps h (L^2 + I)``
+    in the same storage; it depends only on the grid and eps, so it is
+    built once and rebuilt only when eps changes.
     """
 
     def __init__(self, spec: MixtureSpec, grid: Grid1D):
         n = spec.n_reduced
         size = n * grid.cells
-        self.ab = np.zeros((2 * n + 1, size))
+        self.ab = np.empty((2 * n + 1, size))
+        self.n, self.cells, self.h = n, grid.cells, grid.h
         self.l2_bands = laplacian_squared_lower_bands(grid)
         first = n * np.arange(grid.cells)[:, None]
         self.tril = np.tril_indices(n)
@@ -251,6 +256,23 @@ class _Workspace:
         self.block_at = (i - j) * size + first + j
         i, j = np.divmod(np.arange(n * n), n)
         self.coupling_at = (n + i - j) * size + first[:-1] + j
+        self._eps: float | None = None
+        self._eps_ab = np.zeros_like(self.ab)
+
+    def eps_bands(self, eps: float) -> np.ndarray:
+        """The eps-bilaplacian bands in banded storage, cached per eps."""
+        if eps != self._eps:
+            n, m = self.n, self.cells
+            ab = self._eps_ab
+            ab[:] = 0.0
+            if eps != 0.0:
+                l0, l1, l2 = self.l2_bands
+                s = eps * self.h
+                ab[0] = np.repeat(s * (l0 + 1.0), n)
+                ab[n, : (m - 1) * n] = np.repeat(s * l1, n)
+                ab[2 * n, : (m - 2) * n] = np.repeat(s * l2, n)
+            self._eps = eps
+        return self._eps_ab
 
 
 def _assemble_banded(
@@ -267,15 +289,16 @@ def _assemble_banded(
 
     Storage follows the LAPACK convention ab[k, q] = S[q + k, q].  Face
     mobilities are averaged from the two neighboring cells and symmetrized
-    so the assembled matrix is symmetric to the last bit.  The block and
-    coupling entries occupy disjoint positions of the zeroed ``ab``; the
-    eps-bilaplacian bands are added after them.
+    so the assembled matrix is symmetric to the last bit.  ``ab`` starts as
+    a copy of the workspace's cached eps-bilaplacian bands; the block and
+    coupling entries occupy disjoint positions, so each entry receives one
+    term added to its eps part, which equals adding the eps part last.
     """
     n = spec.n_reduced
     m = grid.cells
     h = grid.h
     ab = work.ab
-    ab[:] = 0.0
+    np.copyto(ab, work.eps_bands(eps))
     B = state.B
     Bf = 0.5 * (B[:-1] + B[1:])
     Bf = 0.5 * (Bf + np.swapaxes(Bf, -1, -2))
@@ -293,12 +316,6 @@ def _assemble_banded(
     i, j = work.tril
     flat[work.block_at] += dblk[:, i, j]
     flat[work.coupling_at] += (Bf / (-h)).reshape(m - 1, n * n)
-    if eps != 0.0:
-        l0, l1, l2 = work.l2_bands
-        s = eps * h
-        ab[0] += np.repeat(s * (l0 + 1.0), n)
-        ab[n, : (m - 1) * n] += np.repeat(s * l1, n)
-        ab[2 * n, : (m - 2) * n] += np.repeat(s * l2, n)
     return ab, b.ravel()
 
 

@@ -2,8 +2,9 @@
 
 Matrix oracles below are hand-derived 3x3 / 2x2 evaluations, frozen as
 literals; property tests sample the simplex interior with a fixed seed,
-except the hypothesis test that holds the closed-form ternary kernels to
-the LAPACK inverse down to near-vacuum states.
+except the hypothesis tests that hold the closed-form ternary kernels to
+the LAPACK inverse and the species-column state kernels to numpy's
+trailing-axis reductions, down to near-vacuum states.
 """
 
 import math
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from msdiff import (
     EPS_ADMISSIBLE,
@@ -41,7 +43,7 @@ from msdiff import (
     reduced_friction_matrix,
     w_to_c,
 )
-from msdiff.mixture import _inverse_friction, _mobility
+from msdiff.mixture import _adjugate2, _hessian_inverse, _inverse_friction, _mobility
 
 
 def equal_d_spec(n_species=3, d=1.0):
@@ -374,6 +376,109 @@ class TestClosedFormTernary:
             _inverse_friction(spec, c)
         with pytest.raises(SingularA0):
             _mobility(spec, c, entropy_hessian_inverse(np.zeros((2, 2))))
+
+
+# Reference state kernels: numpy reductions and broadcasts along the short
+# species axis, the form the column-loop kernels must reproduce bitwise.
+
+
+def ref_w_to_c(w):
+    shift = np.maximum(np.max(w, axis=-1, keepdims=True), 0.0)
+    e = np.exp(w - shift)
+    return e / (np.exp(-shift) + np.sum(e, axis=-1, keepdims=True))
+
+
+def ref_full_concentrations(c):
+    return np.concatenate([c, 1.0 - np.sum(c, axis=-1, keepdims=True)], axis=-1)
+
+
+def ref_is_admissible(c, tol=0.0):
+    return bool(np.all(c >= -tol) and np.all(np.sum(c, axis=-1) <= 1.0 + tol))
+
+
+def ref_is_strictly_admissible(c, eps=EPS_ADMISSIBLE):
+    return bool(np.all(c >= eps) and np.all(np.sum(c, axis=-1) <= 1.0 - eps))
+
+
+def ref_hessian_inverse(c):
+    Hinv = -c[..., :, None] * c[..., None, :]
+    idx = np.arange(c.shape[-1])
+    Hinv[..., idx, idx] += c
+    return Hinv
+
+
+def ref_mobility(spec, c):
+    hinv = ref_hessian_inverse(c)
+    if spec.n_reduced != 2:
+        return np.linalg.inv(reduced_friction_matrix(spec, c)) @ hinv
+    adj, det = _adjugate2(spec, c)
+    a, h = adj, hinv
+    B = np.empty_like(adj)
+    B[..., 0, 0] = a[..., 0, 0] * h[..., 0, 0] + a[..., 0, 1] * h[..., 0, 1]
+    B[..., 0, 1] = a[..., 0, 0] * h[..., 0, 1] + a[..., 0, 1] * h[..., 1, 1]
+    B[..., 1, 0] = a[..., 1, 0] * h[..., 0, 0] + a[..., 1, 1] * h[..., 0, 1]
+    B[..., 1, 1] = a[..., 1, 0] * h[..., 0, 1] + a[..., 1, 1] * h[..., 1, 1]
+    B /= det[..., None, None]
+    return B
+
+
+def bitwise_equal(got, ref):
+    """Same shape, same values and same signs of zero."""
+    return (
+        got.shape == ref.shape
+        and np.array_equal(got, ref)
+        and np.array_equal(np.signbit(got), np.signbit(ref))
+    )
+
+
+@st.composite
+def entropy_fields(draw, min_species, max_species):
+    """Entropy variables of one state, a field or a stack of two fields.
+
+    Entries reach |w| = 700, where exp underflows for the minority
+    species, so the mapped states include near-vacuum ones.
+    """
+    n = draw(st.integers(min_species, max_species)) - 1
+    cells = draw(st.integers(1, 12))
+    shape = draw(st.sampled_from([(n,), (cells, n), (2, cells, n)]))
+    return draw(hnp.arrays(float, shape, elements=st.floats(-700.0, 700.0)))
+
+
+class TestSpeciesColumnKernels:
+    @settings(max_examples=200, deadline=None)
+    @given(w=entropy_fields(3, 8), seed=st.integers(0, 2**32 - 1))
+    def test_bitwise_equal_to_trailing_axis_reductions(self, w, seed):
+        c = ref_w_to_c(w)
+        assert bitwise_equal(w_to_c(w), c)
+        assert bitwise_equal(full_concentrations(c), ref_full_concentrations(c))
+        # nudged states straddle every admissibility threshold
+        rng = np.random.default_rng(seed)
+        nudged = c + rng.choice([0.0, 1e-13, -1e-13, 1e-15], size=c.shape)
+        for x in (c, nudged):
+            for tol in (0.0, 1e-12):
+                assert is_admissible(x, tol) == ref_is_admissible(x, tol)
+            assert is_strictly_admissible(x) == ref_is_strictly_admissible(x)
+        assert bitwise_equal(_hessian_inverse(c), ref_hessian_inverse(c))
+        n = c.shape[-1]
+        upper = 10.0 ** rng.uniform(-1.5, 1.5, size=(n + 1) * n // 2)
+        spec = new_mixture_spec(n + 1, diffusivity_matrix_from_upper(upper, n + 1))
+        assert bitwise_equal(mobility_matrix(spec, c), ref_mobility(spec, c))
+
+    @settings(max_examples=50, deadline=None)
+    @given(w=entropy_fields(9, 10))
+    def test_pairwise_sums_agree_to_a_few_ulps(self, w):
+        # from 8 terms on numpy sums pairwise, the kernels left to right
+        c = ref_w_to_c(w)
+        np.testing.assert_array_max_ulp(w_to_c(w), c, maxulp=4)
+        cf, cf_ref = full_concentrations(c), ref_full_concentrations(c)
+        assert bitwise_equal(cf[..., :-1], cf_ref[..., :-1])
+        tiny = np.finfo(float).eps
+        assert np.all(np.abs(cf[..., -1] - cf_ref[..., -1]) <= 16 * tiny)
+        total = np.sum(c, axis=-1)
+        for tol in (0.0, 1e-12):
+            if np.all(np.abs(total - (1.0 + tol)) > 16 * tiny):
+                assert is_admissible(c, tol) == ref_is_admissible(c, tol)
+        assert bitwise_equal(_hessian_inverse(c), ref_hessian_inverse(c))
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,13 @@ class TestBandAssembly:
             spec, grid, 0.01, eps, state, c_prev, augment, work
         )
         assert np.array_equal(ab, ab_ref)
+        # the cached eps bands follow eps: one workspace at 1e-3, 0, 1e-3
+        for eps_k in (1e-3, 0.0, 1e-3):
+            ab_k, _ = loop_assemble(spec, grid, 0.01, eps_k, w_bar, c_prev, augment)
+            ab, _ = msdiff.stepper._assemble_banded(
+                spec, grid, 0.01, eps_k, state, c_prev, augment, work
+            )
+            assert np.array_equal(ab, ab_k)
 
     def test_evaluation_arrays_are_read_only(self):
         spec = random_spec(5)
