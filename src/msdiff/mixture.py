@@ -516,19 +516,21 @@ def entropy_hessian_inverse(c: np.ndarray) -> np.ndarray:
 def _hessian_inverse(c: np.ndarray) -> np.ndarray:
     """``entropy_hessian_inverse`` of an admissible float state, unchecked.
 
-    Three species write the three distinct entries out; more species add
-    ``c`` to the outer product through a strided view of its diagonal.
+    The diagonal is formed as ``c_i (1 - c_i)``: ``c_i - c_i**2`` cancels
+    as c_i approaches 1.  Three species write the three distinct entries
+    out; more species write the diagonal into the outer product through a
+    strided view.
     """
     n = c.shape[-1]
     if n == 2:
         c1, c2 = c[..., 0], c[..., 1]
         Hinv = np.empty(c.shape + (2,))
-        Hinv[..., 0, 0] = c1 - c1 * c1
+        Hinv[..., 0, 0] = c1 * (1.0 - c1)
         Hinv[..., 0, 1] = Hinv[..., 1, 0] = -(c1 * c2)
-        Hinv[..., 1, 1] = c2 - c2 * c2
+        Hinv[..., 1, 1] = c2 * (1.0 - c2)
         return Hinv
     Hinv = -c[..., :, None] * c[..., None, :]
-    Hinv.reshape(c.shape[:-1] + (n * n,))[..., :: n + 1] += c
+    Hinv.reshape(c.shape[:-1] + (n * n,))[..., :: n + 1] = c * (1.0 - c)
     return Hinv
 
 

@@ -8,6 +8,7 @@ trailing-axis reductions, down to near-vacuum states.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -289,6 +290,24 @@ class TestEntropy:
             vals = np.linalg.eigvalsh(entropy_hessian(c))
             assert vals[0] > 0.0
 
+    @pytest.mark.parametrize(
+        "c",
+        [
+            [1.0 - 1.8e-9, 1.8e-9],
+            [1.0 - 1.8e-9 - 3e-10, 1.8e-9, 3e-10],
+        ],
+    )
+    def test_hessian_inverse_exact_near_a_vertex(self, c):
+        # diag(c) - c c^T in rational arithmetic from the same float state;
+        # c_i - c_i**2 would cancel to a relative error of about 1e-9 here
+        c = np.array(c)
+        Hinv = entropy_hessian_inverse(c)
+        for i, ci in enumerate(c):
+            for j, cj in enumerate(c):
+                exact = (Fraction(ci) if i == j else 0) - Fraction(ci) * Fraction(cj)
+                err = abs(Fraction(Hinv[i, j]) - exact) / abs(exact)
+                assert err <= Fraction(1, 10**15)
+
     def test_hessian_inverse_vanishes_with_component(self):
         # diag(c) - c (x) c: row/column i scales with c_i, so a zeroed
         # component zeroes its row and column instead of blowing up.
@@ -403,7 +422,7 @@ def ref_is_strictly_admissible(c, eps=EPS_ADMISSIBLE):
 def ref_hessian_inverse(c):
     Hinv = -c[..., :, None] * c[..., None, :]
     idx = np.arange(c.shape[-1])
-    Hinv[..., idx, idx] += c
+    Hinv[..., idx, idx] = c * (1.0 - c)
     return Hinv
 
 
