@@ -288,12 +288,8 @@ def new_mixture_spec(
 
 
 def _species_sum(x: np.ndarray) -> np.ndarray:
-    """``np.sum(x, axis=-1)`` added up one species column at a time.
-
-    Starting from 0.0 and adding left to right is numpy's own order for up
-    to 7 terms, so the result is bitwise the same there, signed zeros
-    included.
-    """
+    """``np.sum(x, axis=-1)`` added left to right from 0.0, one species
+    column at a time: bitwise equal, signed zeros included, up to 7 terms."""
     total = 0.0 + x[..., 0]
     for i in range(1, x.shape[-1]):
         total = total + x[..., i]
