@@ -53,7 +53,6 @@ class RunConfig:
     emit_timeseries: bool = True
     emit_snapshots: bool = True
     emit_audit_json: bool = True
-    emit_certify_json: bool = False
 
 
 def _parse_bool(key: str, value: str) -> bool:
@@ -128,7 +127,6 @@ _KEYS = {
     "emit_timeseries": (_parse_bool, None, ""),
     "emit_snapshots": (_parse_bool, None, ""),
     "emit_audit_json": (_parse_bool, None, ""),
-    "emit_certify_json": (_parse_bool, None, ""),
 }
 
 _FIELD_NAMES = {f.name for f in fields(RunConfig)}
@@ -227,6 +225,8 @@ def materialize(
         raise ValidationError("tau", "required to run a simulation")
     if config.t_end is None:
         raise ValidationError("t_end", "required to run a simulation")
+    if not config.eps > 0.0:
+        raise ValidationError("eps", "must be positive to run a simulation")
     params = SchemeParams(
         tau=config.tau,
         t_end=config.t_end,

@@ -15,8 +15,7 @@ on the diagonal is the eps block; the fixed-point update here therefore
 adds the state-derivative mass term (h/tau) Hinv(w_bar) (w - w_bar) to both
 sides.  The added term vanishes identically at any fixed point, so the
 solved states are the same, but the iteration gains Newton-like local
-convergence.  ``assemble_linear_system`` still exposes the plain frozen
-system for inspection.
+convergence.
 
 Each iterate w is evaluated once: its fractions c(w) are checked for
 admissibility once, and the Hessian inverse, the mobility and the production
@@ -24,8 +23,8 @@ rates built from them are kept, read-only, in one private evaluation.  The
 assembly at w reads them from there; the evaluation of an accepted state is
 returned with its ``StepResult`` and carried into the step record, the
 audit's production integral and the next step, so nothing is rebuilt at the
-same w.  The public entry points (``advance_step``, ``picard_step``,
-``assemble_linear_system``, ``run_simulation``) keep their input checks.
+same w.  The public entry points (``advance_step``, ``run_simulation``)
+keep their input checks.
 
 Unknowns are ordered cell-major (all species of cell 0, then cell 1, ...),
 which keeps the matrix banded with half-bandwidth 2N: couplings reach one
@@ -282,10 +281,10 @@ def _assemble_banded(
     eps: float,
     state: _State,
     c_prev: np.ndarray,
-    augment: bool,
     work: _Workspace,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Build the frozen-coefficient system at ``state`` in lower-banded form.
+    """Build the augmented frozen-coefficient system at ``state`` in
+    lower-banded form.
 
     Storage follows the LAPACK convention ab[k, q] = S[q + k, q].  Face
     mobilities are averaged from the two neighboring cells and symmetrized
@@ -308,10 +307,9 @@ def _assemble_banded(
     dblk /= h
     b = (h / tau) * (c_prev - state.c)
     b += h * state.r
-    if augment:
-        hinv = state.hinv * (h / tau)
-        dblk += hinv
-        b += np.einsum("mij,mj->mi", hinv, state.w)
+    hinv = state.hinv * (h / tau)
+    dblk += hinv
+    b += np.einsum("mij,mj->mi", hinv, state.w)
     flat = ab.reshape(-1)
     i, j = work.tril
     flat[work.block_at] += dblk[:, i, j]
@@ -355,71 +353,6 @@ def _solve_checked(
     if resid > 1e-12:
         raise LinearSolveFailure(f"linear solve residual {resid:.3e} exceeds 1e-12")
     return x, resid
-
-
-def assemble_linear_system(
-    spec: MixtureSpec,
-    grid: Grid1D,
-    params: SchemeParams,
-    w_bar: np.ndarray,
-    c_prev: np.ndarray,
-    tau: float | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dense frozen-coefficient system of one fixed-point iteration.
-
-    This is the plain linearization: mobility, production and the previous
-    state all frozen at ``w_bar``, nothing added.  Its solution set is the
-    same as the augmented system the solver actually iterates, since the
-    extra term vanishes at any fixed point.  The matrix is symmetric, and
-    positive definite whenever eps is positive.
-    """
-    tau = params.tau if tau is None else tau
-    state = _evaluate(spec, np.array(w_bar, dtype=float))
-    work = _Workspace(spec, grid)
-    ab, b = _assemble_banded(
-        spec, grid, tau, params.eps, state, np.asarray(c_prev, dtype=float),
-        augment=False, work=work,
-    )
-    size = b.size
-    S = np.zeros((size, size))
-    for k in range(ab.shape[0]):
-        vals = ab[k, : size - k]
-        idx = np.arange(size - k)
-        S[idx + k, idx] = vals
-        S[idx, idx + k] = vals
-    return S, b
-
-
-def picard_step(
-    spec: MixtureSpec,
-    grid: Grid1D,
-    params: SchemeParams,
-    w_bar: np.ndarray,
-    c_prev: np.ndarray,
-    tau: float | None = None,
-    theta: float | None = None,
-    augmented: bool = True,
-    work: _Workspace | None = None,
-) -> tuple[np.ndarray, float]:
-    """One damped fixed-point update of the implicit step.
-
-    Solves the (by default augmented) frozen system by banded Cholesky and
-    returns the under-relaxed iterate together with the backward-error
-    residual of the solve, ||S x - b|| / (||S||_F ||x|| + ||b||).  A
-    residual above 1e-12, a failed factorization, or a non-finite solution
-    raises ``LinearSolveFailure``.
-    """
-    tau = params.tau if tau is None else tau
-    theta = params.damping_theta if theta is None else theta
-    if work is None:
-        work = _Workspace(spec, grid)
-    state = _evaluate(spec, np.array(w_bar, dtype=float))
-    ab, b = _assemble_banded(
-        spec, grid, tau, params.eps, state, c_prev, augment=augmented, work=work
-    )
-    x, resid = _solve_checked(ab, b, _band_norm(ab))
-    w_new = (1.0 - theta) * state.w + theta * x.reshape(state.w.shape)
-    return w_new, resid
 
 
 def advance_step(
@@ -474,9 +407,7 @@ def advance_step(
 
     def assemble_at(state: _State) -> tuple[np.ndarray, np.ndarray, float, float]:
         """Assemble at a state; return system, rhs, its norm and the residual there."""
-        ab, b = _assemble_banded(
-            spec, grid, tau, params.eps, state, c_prev, augment=True, work=work
-        )
+        ab, b = _assemble_banded(spec, grid, tau, params.eps, state, c_prev, work)
         norm_S = _band_norm(ab)
         res = float(np.linalg.norm(_band_matvec(ab, state.w.ravel()) - b))
         return ab, b, norm_S, res
@@ -652,7 +583,6 @@ def run_simulation(
         if remaining <= 1e-9 * params.tau:
             break
         tau_k = min(params.tau, remaining)
-        step = None
         for attempt in range(6):
             try:
                 step = advance_step(
@@ -667,8 +597,6 @@ def run_simulation(
                         f"step {k + 1} failed after halving the step size "
                         "five times", partial=result,
                     )
-        if step is None:
-            raise SimulationAborted(f"step {k + 1} failed", partial=result)
         k += 1
         t += tau_k
         state = step.state

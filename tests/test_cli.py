@@ -158,6 +158,12 @@ class TestErrorExits:
         assert main(["run", "--config", str(bad)]) == 64
         assert "tau" in capsys.readouterr().err
 
+    def test_zero_eps_exits_64_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(run_args(out, "--override", "eps=0")) == 64
+        assert "configuration error: eps: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_flag_exits_64(self):
         with pytest.raises(SystemExit) as info:
             main(["run", "--frobnicate"])
@@ -265,6 +271,13 @@ class TestCertifyCommand:
         payload = json.loads((tmp_path / "certify.json").read_text())
         assert payload["results"] == []
         assert payload["all_passed"] is True
+
+    def test_zero_eps_still_certifies(self, tmp_path):
+        # certify takes no step, so it accepts eps=0
+        args = ["certify", "--preset", "heat_check", "--override", "eps=0",
+                "--override", "samples=3", "--output-dir", str(tmp_path)]
+        assert main(args) == 0
+        assert json.loads((tmp_path / "certify.json").read_text())["all_passed"]
 
     def test_certify_deterministic_for_seed(self, tmp_path):
         args = lambda d: [

@@ -105,9 +105,9 @@ class TestParseConfig:
         assert info.value.key == key
 
     def test_bool_keys(self):
-        config = parse_config(MINIMAL + "\nemit_snapshots=false\nemit_certify_json=true")
+        config = parse_config(MINIMAL + "\nemit_snapshots=false\nemit_timeseries=true")
         assert config.emit_snapshots is False
-        assert config.emit_certify_json is True
+        assert config.emit_timeseries is True
 
     def test_quaternary_law_needs_five_species(self):
         with pytest.raises(ValidationError) as info:

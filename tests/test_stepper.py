@@ -1,12 +1,15 @@
-"""Implicit stepper: linearized systems, the nonlinear solve, and full runs.
+"""Implicit stepper: the assembled system, the nonlinear solve, and full runs.
 
 The nonlinear-solver oracle is a high-precision root find on the spatially
 constant reduction of the step equation, where the diffusion terms drop and
 the fixed point satisfies c(w) + eps*tau*w = c_prev cell-wise.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve_banded, cholesky_banded, eigvals_banded
 from scipy.optimize import fsolve
 
 import msdiff.stepper
@@ -23,16 +26,16 @@ from msdiff import (
     SimulationResult,
     ValidationError,
     advance_step,
-    assemble_linear_system,
     c_to_w,
     diffusivity_matrix_from_upper,
+    divergence,
     entropy_hessian_inverse,
+    face_gradient,
     full_concentrations,
     integrate,
     laplacian_squared_lower_bands,
     mobility_matrix,
     new_mixture_spec,
-    picard_step,
     production_rates,
     regularize_initial,
     run_simulation,
@@ -72,7 +75,7 @@ def random_spec(n_species, seed=0):
     return new_mixture_spec(n_species, D, law)
 
 
-def loop_assemble(spec, grid, tau, eps, w_bar, c_prev, augment):
+def loop_assemble(spec, grid, tau, eps, w_bar, c_prev):
     """Banded frozen system built with explicit scatter loops.
 
     The reference for the vectorised ``_assemble_banded``: same arithmetic,
@@ -92,10 +95,9 @@ def loop_assemble(spec, grid, tau, eps, w_bar, c_prev, augment):
     dblk /= h
     b = (h / tau) * (c_prev - c_bar)
     b += h * production_rates(spec.production, full_concentrations(c_bar))[:, :n]
-    if augment:
-        hinv = entropy_hessian_inverse(c_bar) * (h / tau)
-        dblk += hinv
-        b += np.einsum("mij,mj->mi", hinv, w_bar)
+    hinv = entropy_hessian_inverse(c_bar) * (h / tau)
+    dblk += hinv
+    b += np.einsum("mij,mj->mi", hinv, w_bar)
     for i in range(n):
         for j in range(i + 1):
             ab[i - j, j::n] += dblk[:, i, j]
@@ -186,121 +188,72 @@ class TestRegularizeInitial:
             regularize_initial(spec, np.ones((4, 3)) / 6, 1e-3)
 
 
+def banded_system(spec, grid, tau, eps, w_bar, c_prev):
+    """The banded system ``advance_step`` factors at the iterate ``w_bar``."""
+    state = msdiff.stepper._evaluate(spec, np.array(w_bar, dtype=float))
+    work = msdiff.stepper._Workspace(spec, grid)
+    return msdiff.stepper._assemble_banded(
+        spec, grid, tau, eps, state, c_prev, work
+    )
+
+
 class TestAssembleLinearSystem:
     def test_small_instance_symmetric_positive_definite(self):
         spec = ternary_123_spec()
         grid = Grid1D(1.0, 3)
-        params = SchemeParams(tau=1e-3, t_end=1.0, eps=1e-8)
         rng = np.random.default_rng(9)
         w_bar = rng.normal(size=(3, 2))
         c_prev = w_to_c(w_bar + 0.1 * rng.normal(size=(3, 2)))
-        S, b = assemble_linear_system(spec, grid, params, w_bar, c_prev)
-        assert S.shape == (6, 6) and b.shape == (6,)
-        assert np.max(np.abs(S - S.T)) <= 1e-12
-        np.linalg.cholesky(S)  # raises if not positive definite
-
-    def test_self_consistent_data_gives_zero_solution(self):
-        # c_prev equal to c(w_bar) with r = 0 leaves no forcing at all, so
-        # the minimizer of the quadratic form is exactly zero
-        spec = equal_d_spec()
-        grid = Grid1D(1.0, 4)
-        params = SchemeParams(tau=1e-2, t_end=1.0, eps=0.1)
-        w_bar = np.tile([0.4, -0.2], (4, 1))
-        S, b = assemble_linear_system(spec, grid, params, w_bar, w_to_c(w_bar))
-        assert np.max(np.abs(b)) == 0.0
-        assert np.max(np.abs(np.linalg.solve(S, b))) == 0.0
+        ab, b = banded_system(spec, grid, 1e-3, 1e-8, w_bar, c_prev)
+        # lower banded storage holds a symmetric matrix by construction
+        assert ab.shape == (5, 6) and b.shape == (6,)
+        cholesky_banded(ab, lower=True)  # raises if not positive definite
+        assert eigvals_banded(ab, lower=True)[0] > 0.0
 
     def test_coercivity_bound_on_solution(self):
         # the eps*h*(L^2 + I) block bounds the smallest eigenvalue from
-        # below by eps*h, so ||w|| <= ||b|| / (eps h) for any data
+        # below by eps*h, so ||x|| <= ||b|| / (eps h) for any data
         spec = equal_d_spec()
         grid = Grid1D(1.0, 4)
-        params = SchemeParams(tau=1e-2, t_end=1.0, eps=0.1)
+        eps = 0.1
         rng = np.random.default_rng(14)
         w_bar = rng.normal(size=(4, 2))
         c_prev = w_to_c(rng.normal(size=(4, 2)))
-        S, b = assemble_linear_system(spec, grid, params, w_bar, c_prev)
-        x = np.linalg.solve(S, b)
-        assert np.linalg.norm(x) <= np.linalg.norm(b) / (params.eps * grid.h)
-        assert np.linalg.eigvalsh(S)[0] >= params.eps * grid.h * (1 - 1e-12)
-
-
-class TestPicardStep:
-    def fixed_point_instance(self):
-        # constant w_bar solves the step equation when c_prev is chosen as
-        # c(w_bar) + eps*tau*w_bar (diffusion vanishes on constants)
-        spec = ternary_123_spec()
-        grid = Grid1D(1.0, 6)
-        params = SchemeParams(tau=0.05, t_end=1.0, eps=1e-2)
-        w_bar = np.tile([0.7, -0.3], (6, 1))
-        c_prev = w_to_c(w_bar) + params.eps * params.tau * w_bar
-        return spec, grid, params, w_bar, c_prev
-
-    @pytest.mark.parametrize("augmented", [True, False])
-    def test_fixed_point_is_preserved(self, augmented):
-        spec, grid, params, w_bar, c_prev = self.fixed_point_instance()
-        w_new, resid = picard_step(
-            spec, grid, params, w_bar, c_prev, augmented=augmented
-        )
-        assert resid <= 1e-12
-        np.testing.assert_allclose(w_new, w_bar, atol=1e-11)
-
-    def test_half_damping_returns_midpoint(self):
-        spec = equal_d_spec()
-        grid = Grid1D(1.0, 4)
-        params = SchemeParams(tau=1e-2, t_end=1.0, eps=1e-3)
-        rng = np.random.default_rng(21)
-        w_bar = 0.3 * rng.normal(size=(4, 2))
-        c_prev = w_to_c(0.3 * rng.normal(size=(4, 2)))
-        S, b = assemble_linear_system(spec, grid, params, w_bar, c_prev)
-        x = np.linalg.solve(S, b).reshape(4, 2)
-        w_half, _ = picard_step(
-            spec, grid, params, w_bar, c_prev, theta=0.5, augmented=False
-        )
-        np.testing.assert_allclose(w_half, 0.5 * (w_bar + x), atol=1e-9)
-
-    def test_smooth_iterates_contract(self):
-        # undamped sweeps on smooth data: increments shrink monotonically
-        spec, grid, params, c0 = heat_setup(cells=16, tau=1e-3, eps=1e-6)
-        c_prev = regularize_initial(spec, c0, params.eta_floor)
-        w = c_to_w(c_prev)
-        increments = []
-        for _ in range(5):
-            w_next, _ = picard_step(spec, grid, params, w, c_prev)
-            increments.append(float(np.max(np.abs(w_next - w))))
-            w = w_next
-        assert increments[0] > increments[1] > increments[2] > increments[3]
+        ab, b = banded_system(spec, grid, 1e-2, eps, w_bar, c_prev)
+        x = cho_solve_banded((cholesky_banded(ab, lower=True), True), b)
+        assert np.linalg.norm(x) <= np.linalg.norm(b) / (eps * grid.h)
+        assert eigvals_banded(ab, lower=True)[0] >= eps * grid.h * (1 - 1e-12)
 
 
 class TestBandAssembly:
     @pytest.mark.parametrize("n_species", [3, 4, 5])
     @pytest.mark.parametrize("cells", [2, 3, 7, 128])
-    @pytest.mark.parametrize("augment", [True, False])
-    @pytest.mark.parametrize("eps", [0.0, 1e-3])
-    def test_vectorised_scatter_matches_loops(self, n_species, cells, augment, eps):
+    # "True" in the ids marks the augmented system and keeps the case names
+    @pytest.mark.parametrize("eps", [0.0, 1e-3], ids=["0.0-True", "0.001-True"])
+    def test_vectorised_scatter_matches_loops(self, n_species, cells, eps):
         spec = random_spec(n_species, seed=cells)
         grid = Grid1D(1.3, cells)
         rng = np.random.default_rng(n_species * 1000 + cells)
         w_bar = rng.normal(size=(cells, spec.n_reduced))
         c_prev = w_to_c(rng.normal(size=(cells, spec.n_reduced)))
-        ab_ref, b_ref = loop_assemble(spec, grid, 0.01, eps, w_bar, c_prev, augment)
+        ab_ref, b_ref = loop_assemble(spec, grid, 0.01, eps, w_bar, c_prev)
         work = msdiff.stepper._Workspace(spec, grid)
         state = msdiff.stepper._evaluate(spec, w_bar.copy())
         ab, b = msdiff.stepper._assemble_banded(
-            spec, grid, 0.01, eps, state, c_prev, augment, work
+            spec, grid, 0.01, eps, state, c_prev, work
         )
         assert np.array_equal(ab, ab_ref)
         assert np.array_equal(b, b_ref)
         # the buffer is reused: a second assembly must not keep old entries
         ab, b = msdiff.stepper._assemble_banded(
-            spec, grid, 0.01, eps, state, c_prev, augment, work
+            spec, grid, 0.01, eps, state, c_prev, work
         )
         assert np.array_equal(ab, ab_ref)
         # the cached eps bands follow eps: one workspace at 1e-3, 0, 1e-3
         for eps_k in (1e-3, 0.0, 1e-3):
-            ab_k, _ = loop_assemble(spec, grid, 0.01, eps_k, w_bar, c_prev, augment)
+            ab_k, _ = loop_assemble(spec, grid, 0.01, eps_k, w_bar, c_prev)
             ab, _ = msdiff.stepper._assemble_banded(
-                spec, grid, 0.01, eps_k, state, c_prev, augment, work
+                spec, grid, 0.01, eps_k, state, c_prev, work
             )
             assert np.array_equal(ab, ab_k)
 
@@ -316,7 +269,6 @@ class TestBandAssembly:
         spec, grid, params, c0 = heat_setup(cells=8)
         w0 = c_to_w(regularize_initial(spec, c0, params.eta_floor))
         advance_step(spec, grid, params, w0)
-        picard_step(spec, grid, params, w0, w_to_c(w0))
         w0[0, 0] = 0.0
 
     def test_carried_evaluation_must_be_of_w_prev(self):
@@ -371,14 +323,42 @@ class TestAdvanceStep:
 
     def test_converged_state_solves_plain_system(self):
         # the solver iterates an augmented splitting; its fixed point must
-        # satisfy the unmodified frozen-coefficient system
-        spec, grid, params, c0 = heat_setup(cells=16)
-        c_prev = regularize_initial(spec, c0, params.eta_floor)
-        step = advance_step(spec, grid, params, c_to_w(c_prev))
-        S, b = assemble_linear_system(spec, grid, params, step.w, c_prev)
-        resid = np.max(np.abs(S @ step.w.ravel() - b))
-        scale = max(1.0, float(np.max(np.abs(b))))
-        assert resid <= 1e-9 * scale
+        # satisfy the unmodified scheme, checked here cell by cell in strong
+        # form from the public grid and mixture operators:
+        #   (c(w) - c_prev)/tau - div(B_f grad w) + eps (L(L w) + w) - r = 0
+        for spec, grid, params, c0 in (heat_setup(cells=16), rough_setup()):
+            c_prev = regularize_initial(spec, c0, params.eta_floor)
+            w = advance_step(spec, grid, params, c_to_w(c_prev)).w
+            c = w_to_c(w)
+            B = mobility_matrix(spec, c)
+            Bf = np.zeros((grid.cells + 1,) + B.shape[1:])
+            Bf[1:-1] = 0.5 * (B[:-1] + B[1:])
+            Bf = 0.5 * (Bf + np.swapaxes(Bf, -1, -2))
+            flux = np.einsum("fij,fj->fi", Bf, face_gradient(grid, w))
+
+            def lap(f):
+                return divergence(grid, face_gradient(grid, f))
+
+            r = production_rates(spec.production, full_concentrations(c))
+            terms = (
+                (c - c_prev) / params.tau,
+                -divergence(grid, flux),
+                params.eps * (lap(lap(w)) + w),
+                -r[:, : spec.n_reduced],
+            )
+            scale = max(float(np.max(np.abs(t))) for t in terms)
+            assert np.max(np.abs(sum(terms))) <= 1e-9 * scale
+
+    def test_half_damping_matches_full_step(self):
+        # theta < 1 only slows the iteration; it converges to the same state
+        spec, grid, params, c0 = heat_setup(cells=16, damping_theta=0.5)
+        w0 = c_to_w(regularize_initial(spec, c0, params.eta_floor))
+        step = advance_step(spec, grid, params, w0)
+        assert step.theta == 0.5
+        assert step.restarts == 0
+        full = advance_step(spec, grid, replace(params, damping_theta=1.0), w0)
+        assert full.theta == 1.0
+        np.testing.assert_allclose(step.w, full.w, rtol=0.0, atol=1e-11)
 
     def test_rough_data_converges_with_backtracking_budget(self):
         spec, grid, params, c0 = rough_setup()
