@@ -22,7 +22,7 @@ simplex; a LAPACK call per 2x2 matrix costs far more.  More species use
 LAPACK's batched inverse.
 
 The per-state kernels that every solver iterate runs (``w_to_c``,
-``full_concentrations``, the admissibility tests and the ternary Hessian
+``full_concentrations``, the admissibility checks and the ternary Hessian
 inverse) loop over the N species columns ``x[..., i]`` instead of reducing
 or broadcasting along the trailing axis: that axis is only N long, and
 numpy would run one tiny inner loop per cell, while each column operation
@@ -305,27 +305,18 @@ def full_concentrations(c: np.ndarray) -> np.ndarray:
     return cf
 
 
-def is_admissible(c: np.ndarray, tol: float = 0.0) -> bool:
-    """True when all fractions are >= -tol and each state sums to <= 1 + tol."""
+def _require_admissible(c: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """``c`` as floats if all fractions are >= -tol and sum to <= 1 + tol."""
     c = np.asarray(c, dtype=float)
-    return bool(np.all(c >= -tol) and np.all(_species_sum(c) <= 1.0 + tol))
-
-
-def is_strictly_admissible(c: np.ndarray, eps: float = EPS_ADMISSIBLE) -> bool:
-    """True when every fraction, including the implied last, exceeds ``eps``."""
-    c = np.asarray(c, dtype=float)
-    return bool(np.all(c >= eps) and np.all(_species_sum(c) <= 1.0 - eps))
-
-
-def _require_admissible(c: np.ndarray) -> np.ndarray:
-    c = np.asarray(c, dtype=float)
-    if not is_admissible(c, tol=1e-12):
+    if not (np.all(c >= -tol) and np.all(_species_sum(c) <= 1.0 + tol)):
         raise InadmissibleState("concentrations outside the composition simplex")
     return c
 
+
 def _require_strict(c: np.ndarray, eps: float = EPS_ADMISSIBLE) -> np.ndarray:
+    """``c`` as floats if every fraction, the implied last too, is >= eps."""
     c = np.asarray(c, dtype=float)
-    if not is_strictly_admissible(c, eps):
+    if not (np.all(c >= eps) and np.all(_species_sum(c) <= 1.0 - eps)):
         raise NotStrictlyAdmissible(
             f"state touches the simplex boundary (floor {eps:g})"
         )
@@ -399,17 +390,6 @@ def _reduced_friction(spec: MixtureSpec, c: np.ndarray) -> np.ndarray:
     return A0
 
 
-def invert_reduced_friction(spec: MixtureSpec, c: np.ndarray) -> np.ndarray:
-    """Inverse of A0(c).
-
-    Three species (N = 2) use the closed form ``adj(A0) / det(A0)``; more
-    species use LAPACK's LU factorization with partial pivoting.  Both are
-    safe on the closed simplex: the eigenvalues of A0 lie in
-    ``[delta, Delta)``, so ``det(A0) >= delta**N > 0``.
-    """
-    return _inverse_friction(spec, _require_admissible(c))
-
-
 _SINGULAR_A0 = (
     "reduced friction matrix reported singular; A0 is provably "
     "invertible on the simplex, so the input state is corrupted"
@@ -417,7 +397,13 @@ _SINGULAR_A0 = (
 
 
 def _inverse_friction(spec: MixtureSpec, c: np.ndarray) -> np.ndarray:
-    """``invert_reduced_friction`` of an admissible float state, unchecked."""
+    """Inverse of A0(c) at an admissible float state, unchecked.
+
+    Three species (N = 2) use the closed form ``adj(A0) / det(A0)``; more
+    species use LAPACK's LU factorization with partial pivoting.  Both are
+    safe on the closed simplex: the eigenvalues of A0 lie in
+    ``[delta, Delta)``, so ``det(A0) >= delta**N > 0``.
+    """
     if spec.n_reduced == 2:
         adj, det = _adjugate2(spec, c)
         return adj / det[..., None, None]
@@ -473,35 +459,18 @@ def reduced_friction_inverse_bound(spec: MixtureSpec) -> float:
 # entropy structure
 
 
-def entropy_density(c: np.ndarray) -> np.ndarray:
-    """Mixture entropy density ``sum_i c_i (log c_i - 1)`` over all species.
+def _entropy_density(cf: np.ndarray) -> np.ndarray:
+    """Mixture entropy density ``sum_i c_i (log c_i - 1)`` from all N+1
+    fractions ``cf`` of admissible states, one scalar per state.
 
     Defined on the closed simplex with the convention ``0 log 0 = 0``.
-    Batched input yields one scalar per state.
     """
-    return _entropy_density(full_concentrations(_require_admissible(c)))
-
-
-def _entropy_density(cf: np.ndarray) -> np.ndarray:
-    """``entropy_density`` from all N+1 fractions of admissible states."""
     return np.sum(xlogy(cf, cf), axis=-1) - 1.0
 
 
-def entropy_hessian(c: np.ndarray) -> np.ndarray:
-    """Hessian H(c) of the entropy density in the reduced variables.
-
-    ``H_ij = 1/c_last + delta_ij / c_i``; requires an interior state.
-    """
-    c = _require_strict(c)
-    last = 1.0 - np.sum(c, axis=-1)
-    H = np.ones((c.shape[-1], c.shape[-1])) / last[..., None, None]
-    idx = np.arange(c.shape[-1])
-    H[..., idx, idx] += 1.0 / c
-    return H
-
-
 def entropy_hessian_inverse(c: np.ndarray) -> np.ndarray:
-    """Closed-form inverse of the entropy Hessian: ``diag(c) - c c^T``.
+    """Closed-form inverse ``diag(c) - c c^T`` of the entropy Hessian
+    ``H_ij = 1/c_last + delta_ij / c_i`` in the reduced variables.
 
     Unlike the Hessian itself this is a polynomial in c, so it extends
     continuously to the simplex boundary and is safe to assemble there.

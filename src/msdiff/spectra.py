@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import DimensionMismatch, NotSymmetric
 from .mixture import (
@@ -141,41 +139,3 @@ def certify_reduced_spectrum(
         Delta=spec.Delta,
         tol=tol,
     )
-
-
-def rank_one_spectrum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Spectrum of the outer product ``x y^T``: n-1 zeros and ``x . y``, sorted."""
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.shape != y.shape:
-        raise DimensionMismatch(
-            f"outer-product factors differ in length: {x.shape} vs {y.shape}"
-        )
-    vals = np.zeros(len(x))
-    vals[-1] = float(x @ y)
-    return np.sort(vals)
-
-
-def structure_flags(M: np.ndarray) -> tuple[bool, bool]:
-    """(quasi_positive, irreducible) flags of a square matrix.
-
-    Quasi-positive: nonzero matrix with no negative off-diagonal entries.
-    Irreducible: the directed graph on nonzero off-diagonal entries is
-    strongly connected (any nonzero entry suffices for a 1x1 matrix).
-    These are the hypotheses under which the friction matrix has a simple
-    Perron eigenvalue, so interior states must switch both flags on.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {M.shape}")
-    n = M.shape[0]
-    off = M.copy()
-    np.fill_diagonal(off, 0.0)
-    quasi_positive = bool(np.any(M != 0.0) and np.all(off >= 0.0))
-    if n == 1:
-        irreducible = bool(M[0, 0] != 0.0)
-    else:
-        graph = csr_matrix((off != 0.0).astype(np.int8))
-        n_comp, _ = connected_components(graph, directed=True, connection="strong")
-        irreducible = n_comp == 1
-    return quasi_positive, irreducible

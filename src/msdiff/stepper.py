@@ -57,6 +57,7 @@ from .errors import (
     InconsistentFields,
     LinearSolveFailure,
     NonlinearDivergence,
+    NotStrictlyAdmissible,
     SimulationAborted,
     ValidationError,
 )
@@ -71,10 +72,11 @@ from .mixture import (
     _hessian_inverse,
     _mobility,
     _require_admissible,
+    _require_strict,
 )
 
-# Final fixed-point increments must sit near rounding level for the
-# telescoped mass identity to hold to 1e-10 over thousands of steps.
+# With final_polish on, the increment exit is lowered to this rounding level
+# so the telescoped mass identity holds to 1e-10 over thousands of steps.
 POLISH_INCREMENT = 1e-13
 
 StepHook = Callable[[int, float, np.ndarray, np.ndarray, DiagnosticsRecord], None]
@@ -87,12 +89,13 @@ class SchemeParams:
     tau            time step
     t_end          final time (the last step is shortened to land on it)
     eps            regularization weight; must be positive to run
-    picard_tol     max-norm increment below which the inner solve stops
+    picard_tol     max-norm increment at which the inner solve accepts a
+                   step; also sets the entropy audit's slack (solver_slack)
     picard_max     total inner-iteration budget per step, restarts included
     damping_theta  under-relaxation of the fixed-point update, in (0, 1]
     eta_floor      initial-data blending weight toward the uniform mixture
-    final_polish   after convergence, push increments to rounding level so
-                   the per-step mass identity telescopes exactly
+    final_polish   lower the increment exit to min(picard_tol, POLISH_INCREMENT)
+                   so the per-step mass identity telescopes to rounding level
     """
 
     tau: float
@@ -212,7 +215,8 @@ def regularize_initial(spec: MixtureSpec, c0: np.ndarray, eta: float) -> np.ndar
     implied one included, at least eta away from zero while moving each
     value by at most (N+1) eta.  Constant fields stay constant.  Data with
     negative fractions or cell sums beyond one (past rounding, 1e-12) is
-    rejected rather than repaired.
+    rejected rather than repaired, as is an eta too small to lift every
+    blended fraction to ``EPS_ADMISSIBLE``.
     """
     n1 = spec.n_species
     if not 0.0 < eta < 1.0 / n1:
@@ -227,7 +231,10 @@ def regularize_initial(spec: MixtureSpec, c0: np.ndarray, eta: float) -> np.ndar
     sums = c0.sum(axis=-1)
     if np.any(sums > 1.0 + 1e-12):
         raise InadmissibleInitialData("initial fractions exceed unit sum")
-    return (1.0 - n1 * eta) * c0 + eta
+    try:
+        return _require_strict((1.0 - n1 * eta) * c0 + eta)
+    except NotStrictlyAdmissible as exc:
+        raise InadmissibleInitialData(f"eta_floor {eta:g}: {exc}") from None
 
 
 class _Workspace:
@@ -371,12 +378,12 @@ def advance_step(
     relaxation is chosen by backtracking until the nonlinear residual
     decreases, which keeps the iteration globally convergent even for
     near-vacuum states whose entropy variables jump by tens between
-    neighboring cells.  The step is accepted once the max-norm increment
-    drops below ``picard_tol`` (pushed further to rounding level when
-    polishing) or the residual reaches its floor: rough states leave the
-    system too ill-conditioned in the vanished species' directions for the
-    increment ever to reach the tolerance, while the residual floor
-    certifies a fixed point to working precision.
+    neighboring cells.  The step is accepted at the first iterate whose
+    residual reaches its floor or whose max-norm increment is at most
+    ``picard_tol`` (at most ``POLISH_INCREMENT`` with ``final_polish``).
+    The floor certifies a fixed point to working precision and ends almost
+    every step; rough states never bring the increment to the tolerance,
+    while a few steps reach a rounding-level increment above the floor.
 
     Increments growing three times in a row while the backtracking is
     already cutting steps triggers a restart with the base relaxation
@@ -403,7 +410,6 @@ def advance_step(
     restarts = 0
     iterations = 0
     all_increments: list[float] = []
-    lin_resid = 0.0
 
     def assemble_at(state: _State) -> tuple[np.ndarray, np.ndarray, float, float]:
         """Assemble at a state; return system, rhs, its norm and the residual there."""
@@ -412,19 +418,16 @@ def advance_step(
         res = float(np.linalg.norm(_band_matvec(ab, state.w.ravel()) - b))
         return ab, b, norm_S, res
 
+    tol = min(params.picard_tol, POLISH_INCREMENT if params.final_polish else np.inf)
     while True:
         acc = prev
         ab, b, norm_S, f_acc = assemble_at(acc)
         increments: list[float] = []
         last_s = 1.0
-        polishing = False
-        polish_left = 8
-        diverged = False
         while iterations < params.picard_max:
             x, lin_resid = _solve_checked(ab, b, norm_S)
             d = x.reshape(acc.w.shape) - acc.w
             s = 1.0
-            accepted = False
             for _ in range(11):
                 trial = _evaluate(spec, acc.w + (theta * s) * d)
                 ab, b, norm_S, f_try = assemble_at(trial)
@@ -432,53 +435,34 @@ def advance_step(
                     norm_S * float(np.linalg.norm(trial.w)) + float(np.linalg.norm(b))
                 )
                 if f_try <= (1.0 - 1e-4 * theta * s) * f_acc or f_try <= floor:
-                    accepted = True
                     break
                 s *= 0.5
-            if not accepted:
-                diverged = True
-                break
+            else:
+                break  # the backtracking failed: restart
             iterations += 1
             inc = float(np.max(np.abs(trial.w - acc.w)))
-            prev_inc = increments[-1] if increments else np.inf
             increments.append(inc)
             all_increments.append(inc)
             acc = trial
             f_acc = f_try
-            at_floor = f_acc <= floor
-            if inc <= params.picard_tol or at_floor:
-                done = (
-                    at_floor
-                    or not params.final_polish
-                    or inc <= POLISH_INCREMENT
+            if f_acc <= floor or inc <= tol:
+                return StepResult(
+                    w=acc.w,
+                    iterations=iterations,
+                    final_increment=inc,
+                    linear_residual=lin_resid,
+                    theta=theta,
+                    restarts=restarts,
+                    state=acc,
                 )
-                if polishing:
-                    polish_left -= 1
-                    # rounding plateau: increments stop shrinking
-                    done = done or polish_left <= 0 or (
-                        inc >= prev_inc and inc < 1e-11
-                    )
-                if done:
-                    return StepResult(
-                        w=acc.w,
-                        iterations=iterations,
-                        final_increment=inc,
-                        linear_residual=lin_resid,
-                        theta=theta,
-                        restarts=restarts,
-                        state=acc,
-                    )
-                polishing = True
-                continue
             if (
                 len(increments) >= 3
                 and increments[-1] > increments[-2] > increments[-3]
                 and (s < 1.0 or last_s < 1.0)
             ):
-                diverged = True
                 break
             last_s = s
-        if not diverged:
+        else:
             raise NonlinearDivergence(
                 f"no convergence within {params.picard_max} iterations",
                 increments=all_increments,

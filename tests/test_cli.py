@@ -120,6 +120,26 @@ class TestRunCommand:
         summary = json.loads((tmp_path / "out" / "run_summary.json").read_text())
         assert summary["cells"] == 16
 
+    def test_five_species_run_ending_steps_on_the_increment(self, tmp_path):
+        # every step of this run reaches an increment below 1e-14 while its
+        # residual stays about twice the floor: only the increment exit ends it
+        cfg = tmp_path / "five.cfg"
+        cfg.write_text(
+            "species=5\n"
+            "D=22.0383,0.0397462,0.0541697,0.131241,0.229354,"
+            "11.836,10.5563,20.113,0.46683,0.0352782\n"
+            "eps=5.69e-07\nlength=6.286\ncells=8\ntau=0.000164\n"
+            "t_end=0.000820067\ninitial=cosine:0.000353\n"
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--output-dir", str(out)]) == 0
+        summary = json.loads((out / "run_summary.json").read_text())
+        assert summary["audits_passed"] is True
+        assert summary["steps"] == 6
+        audit = json.loads((out / "audit.json").read_text())
+        assert len(audit["verdicts"]) == 6
+        assert all(v["passed"] for v in audit["verdicts"])
+
     def test_summary_uses_shortest_roundtrip_floats(self, tmp_path):
         assert main(run_args(tmp_path)) == 0
         text = (tmp_path / "timeseries.csv").read_text()
@@ -162,6 +182,18 @@ class TestErrorExits:
         out = tmp_path / "out"
         assert main(run_args(out, "--override", "eps=0")) == 64
         assert "configuration error: eps: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("eta", ["1e-16", "5e-15"])
+    def test_tiny_eta_floor_exits_64_before_writing(self, tmp_path, capsys, eta):
+        # the blended initial data would touch the simplex boundary
+        out = tmp_path / "out"
+        override = f"eta_floor={eta}"
+        args = ["run", "--preset", "ternary_uphill", "--override", override]
+        assert main([*args, "--output-dir", str(out)]) == 64
+        err = capsys.readouterr().err
+        assert f"configuration error: eta_floor {eta}: " in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_unknown_flag_exits_64(self):

@@ -19,6 +19,7 @@ from hypothesis.extra import numpy as hnp
 from msdiff import (
     EPS_ADMISSIBLE,
     DimensionMismatch,
+    InadmissibleState,
     InvalidProductionLaw,
     NonPositiveOffDiagonal,
     NonSymmetricD,
@@ -28,15 +29,10 @@ from msdiff import (
     WrongSpeciesCount,
     c_to_w,
     diffusivity_matrix_from_upper,
-    entropy_density,
-    entropy_hessian,
     entropy_hessian_inverse,
     friction_matrix,
     friction_matrix_symmetric,
     full_concentrations,
-    invert_reduced_friction,
-    is_admissible,
-    is_strictly_admissible,
     mobility_matrix,
     new_mixture_spec,
     production_rates,
@@ -44,7 +40,15 @@ from msdiff import (
     reduced_friction_matrix,
     w_to_c,
 )
-from msdiff.mixture import _adjugate2, _hessian_inverse, _inverse_friction, _mobility
+from msdiff.mixture import (
+    _adjugate2,
+    _entropy_density,
+    _hessian_inverse,
+    _inverse_friction,
+    _mobility,
+    _require_admissible,
+    _require_strict,
+)
 
 
 def equal_d_spec(n_species=3, d=1.0):
@@ -57,6 +61,20 @@ def ternary_123_spec():
     # D12=1, D13=2, D23=3 so d12=1, d13=1/2, d23=1/3
     D = diffusivity_matrix_from_upper([1.0, 2.0, 3.0], 3)
     return new_mixture_spec(3, D)
+
+
+def entropy_density(c):
+    """The private density kernel on reduced fractions ``c``."""
+    return _entropy_density(full_concentrations(c))
+
+
+def admits(check, c, *args):
+    """Whether the private admissibility check ``check`` lets ``c`` through."""
+    try:
+        check(c, *args)
+    except (InadmissibleState, NotStrictlyAdmissible):
+        return False
+    return True
 
 
 def random_interior_state(rng, n_species):
@@ -212,12 +230,12 @@ class TestReducedFriction:
         spec = ternary_123_spec()
         c = np.array([0.2, 0.3])
         A0 = reduced_friction_matrix(spec, c)
-        inv = invert_reduced_friction(spec, c)
+        inv = _inverse_friction(spec, c)
         np.testing.assert_allclose(inv @ A0, np.eye(2), atol=1e-12)
 
     def test_equal_d_inverse_is_scalar(self):
         spec = equal_d_spec(4, d=3.0)
-        inv = invert_reduced_friction(spec, np.array([0.2, 0.2, 0.2]))
+        inv = _inverse_friction(spec, np.array([0.2, 0.2, 0.2]))
         np.testing.assert_allclose(inv, np.eye(3) / 3.0, atol=1e-14)
 
     def test_inverse_entries_within_uniform_bound(self):
@@ -233,7 +251,7 @@ class TestReducedFriction:
             bound = reduced_friction_inverse_bound(spec)
             for _ in range(50):
                 c_full = rng.dirichlet(np.ones(n) * rng.uniform(0.2, 2.0))
-                inv = invert_reduced_friction(spec, c_full[:-1])
+                inv = _inverse_friction(spec, c_full[:-1])
                 assert np.max(np.abs(inv)) <= bound
 
 
@@ -264,12 +282,6 @@ class TestEntropy:
         assert h.shape == (2,)
         assert h[0] == pytest.approx(-1.0 - math.log(3.0))
 
-    def test_hessian_hand_computed(self):
-        # h_ij = 1/c_{N+1} + delta_ij / c_i at the uniform ternary state
-        H = entropy_hessian(np.array([1 / 3, 1 / 3]))
-        np.testing.assert_allclose(H, [[6.0, 3.0], [3.0, 6.0]], atol=1e-12)
-        assert np.linalg.det(H) == pytest.approx(27.0, rel=1e-12)
-
     def test_hessian_inverse_hand_computed(self):
         Hinv = entropy_hessian_inverse(np.array([1 / 3, 1 / 3]))
         expected = np.array([[2.0, -1.0], [-1.0, 2.0]]) / 9.0
@@ -279,16 +291,10 @@ class TestEntropy:
         rng = np.random.default_rng(13)
         for _ in range(25):
             c = random_interior_state(rng, 4)
-            H = entropy_hessian(c)
+            # the entropy Hessian h_ij = 1/c_{N+1} + delta_ij / c_i
+            H = 1.0 / (1.0 - c.sum()) + np.diag(1.0 / c)
             Hinv = entropy_hessian_inverse(c)
             np.testing.assert_allclose(H @ Hinv, np.eye(3), atol=1e-10)
-
-    def test_hessian_positive_definite(self):
-        rng = np.random.default_rng(17)
-        for _ in range(25):
-            c = random_interior_state(rng, 5)
-            vals = np.linalg.eigvalsh(entropy_hessian(c))
-            assert vals[0] > 0.0
 
     @pytest.mark.parametrize(
         "c",
@@ -369,7 +375,7 @@ class TestClosedFormTernary:
     def test_matches_lapack_reference(self, seed, batch):
         spec, c = sampled_spec_and_states(3, seed, batch)
         inv_ref, B_ref = lapack_reference(spec, c)
-        inv, B = invert_reduced_friction(spec, c), mobility_matrix(spec, c)
+        inv, B = _inverse_friction(spec, c), mobility_matrix(spec, c)
         assert inv.shape == inv_ref.shape and B.shape == B_ref.shape
         for got, ref in ((inv, inv_ref), (B, B_ref)):
             scale = np.max(np.abs(ref), axis=(-2, -1))
@@ -384,7 +390,7 @@ class TestClosedFormTernary:
         for seed in range(20):
             spec, c = sampled_spec_and_states(n_species, seed, batch)
             inv_ref, B_ref = lapack_reference(spec, c)
-            assert np.array_equal(invert_reduced_friction(spec, c), inv_ref)
+            assert np.array_equal(_inverse_friction(spec, c), inv_ref)
             assert np.array_equal(mobility_matrix(spec, c), B_ref)
 
     def test_corrupted_state_raises_singular(self):
@@ -475,8 +481,8 @@ class TestSpeciesColumnKernels:
         nudged = c + rng.choice([0.0, 1e-13, -1e-13, 1e-15], size=c.shape)
         for x in (c, nudged):
             for tol in (0.0, 1e-12):
-                assert is_admissible(x, tol) == ref_is_admissible(x, tol)
-            assert is_strictly_admissible(x) == ref_is_strictly_admissible(x)
+                assert admits(_require_admissible, x, tol) == ref_is_admissible(x, tol)
+            assert admits(_require_strict, x) == ref_is_strictly_admissible(x)
         assert bitwise_equal(_hessian_inverse(c), ref_hessian_inverse(c))
         n = c.shape[-1]
         upper = 10.0 ** rng.uniform(-1.5, 1.5, size=(n + 1) * n // 2)
@@ -496,7 +502,7 @@ class TestSpeciesColumnKernels:
         total = np.sum(c, axis=-1)
         for tol in (0.0, 1e-12):
             if np.all(np.abs(total - (1.0 + tol)) > 16 * tiny):
-                assert is_admissible(c, tol) == ref_is_admissible(c, tol)
+                assert admits(_require_admissible, c, tol) == ref_is_admissible(c, tol)
         assert bitwise_equal(_hessian_inverse(c), ref_hessian_inverse(c))
 
 
@@ -559,19 +565,19 @@ class TestTransforms:
 
 class TestAdmissibility:
     def test_admissible_accepts_boundary(self):
-        assert is_admissible(np.array([1.0, 0.0]))
-        assert is_admissible(np.array([0.0, 0.0]))
+        assert admits(_require_admissible, np.array([1.0, 0.0]), 0.0)
+        assert admits(_require_admissible, np.array([0.0, 0.0]), 0.0)
 
     def test_admissible_rejects_excess_sum(self):
-        assert not is_admissible(np.array([0.7, 0.4]))
+        assert not admits(_require_admissible, np.array([0.7, 0.4]), 0.0)
 
     def test_admissible_rejects_negative(self):
-        assert not is_admissible(np.array([-0.1, 0.5]))
+        assert not admits(_require_admissible, np.array([-0.1, 0.5]), 0.0)
 
     def test_strict_needs_margin(self):
-        assert is_strictly_admissible(np.array([0.3, 0.3]))
-        assert not is_strictly_admissible(np.array([EPS_ADMISSIBLE / 2, 0.3]))
-        assert not is_strictly_admissible(np.array([0.5, 0.5]))
+        assert admits(_require_strict, np.array([0.3, 0.3]))
+        assert not admits(_require_strict, np.array([EPS_ADMISSIBLE / 2, 0.3]))
+        assert not admits(_require_strict, np.array([0.5, 0.5]))
 
     def test_full_concentrations_closes_sum(self):
         cf = full_concentrations(np.array([0.2, 0.3]))

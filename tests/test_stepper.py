@@ -177,6 +177,13 @@ class TestRegularizeInitial:
         with pytest.raises(InadmissibleInitialData):
             regularize_initial(spec, np.array([[-0.1, 0.5]]), 1e-3)
 
+    def test_eta_below_strict_floor_rejected(self):
+        # the blended vanished species would sit below EPS_ADMISSIBLE, where
+        # no entropy variable maps to it
+        spec = equal_d_spec()
+        with pytest.raises(InadmissibleInitialData, match="eta_floor"):
+            regularize_initial(spec, np.array([[1.0, 0.0]]), 1e-16)
+
     def test_eta_out_of_range(self):
         spec = equal_d_spec()
         with pytest.raises(ValidationError):
@@ -358,7 +365,19 @@ class TestAdvanceStep:
         assert step.restarts == 0
         full = advance_step(spec, grid, replace(params, damping_theta=1.0), w0)
         assert full.theta == 1.0
-        np.testing.assert_allclose(step.w, full.w, rtol=0.0, atol=1e-11)
+        np.testing.assert_allclose(step.w, full.w, rtol=0.0, atol=2e-13)
+
+    @pytest.mark.parametrize("setup", [heat_setup, rough_setup])
+    def test_unpolished_step_stops_on_the_increment(self, setup):
+        # without final_polish the increment exit stays at picard_tol, so a
+        # loose tolerance ends the step well before the residual floor
+        spec, grid, params, c0 = setup(picard_tol=1e-4)
+        w0 = c_to_w(regularize_initial(spec, c0, params.eta_floor))
+        loose = advance_step(spec, grid, replace(params, final_polish=False), w0)
+        polished = advance_step(spec, grid, params, w0)
+        assert 1e-13 < loose.final_increment <= 1e-4
+        assert loose.iterations < polished.iterations
+        assert np.max(np.abs(loose.w - polished.w)) <= 1e-4
 
     def test_rough_data_converges_with_backtracking_budget(self):
         spec, grid, params, c0 = rough_setup()
