@@ -305,10 +305,16 @@ def full_concentrations(c: np.ndarray) -> np.ndarray:
     return cf
 
 
+def _within(c: np.ndarray, low: float, high: float) -> bool:
+    """Every fraction >= low and every species sum <= high.  ndarray min/max
+    skip np.all's Python wrappers on this per-iterate check; NaN still fails."""
+    return c.min(initial=np.inf) >= low and _species_sum(c).max(initial=-np.inf) <= high
+
+
 def _require_admissible(c: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """``c`` as floats if all fractions are >= -tol and sum to <= 1 + tol."""
     c = np.asarray(c, dtype=float)
-    if not (np.all(c >= -tol) and np.all(_species_sum(c) <= 1.0 + tol)):
+    if not _within(c, -tol, 1.0 + tol):
         raise InadmissibleState("concentrations outside the composition simplex")
     return c
 
@@ -316,7 +322,7 @@ def _require_admissible(c: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 def _require_strict(c: np.ndarray, eps: float = EPS_ADMISSIBLE) -> np.ndarray:
     """``c`` as floats if every fraction, the implied last too, is >= eps."""
     c = np.asarray(c, dtype=float)
-    if not (np.all(c >= eps) and np.all(_species_sum(c) <= 1.0 - eps)):
+    if not _within(c, eps, 1.0 - eps):
         raise NotStrictlyAdmissible(
             f"state touches the simplex boundary (floor {eps:g})"
         )
@@ -428,7 +434,7 @@ def _adjugate2(spec: MixtureSpec, c: np.ndarray) -> tuple[np.ndarray, np.ndarray
     q = d[1, 0] - d[1, 2]
     c1, c2 = c[..., 0], c[..., 1]
     det = d[0, 2] * d[1, 2] + q * d[0, 2] * c1 + p * d[1, 2] * c2
-    if not np.all((det > 0.0) & (det < np.inf)):
+    if not (det.min(initial=np.inf) > 0.0 and det.max(initial=0.0) < np.inf):
         raise SingularA0(_SINGULAR_A0)
     adj = np.empty(c.shape + (2,))
     adj[..., 0, 0] = q * c1 + d[1, 2]

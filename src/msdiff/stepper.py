@@ -9,37 +9,36 @@ cell-centered system
 for all test fields v, with zero-flux walls.  The nonlinearity is handled
 by freezing the mobility, the production term and the concentration map at
 the current iterate and solving the resulting symmetric positive definite
-banded system.  Iterating that frozen map as written is hopelessly slow
-when the regularization weight is small, because the only w-dependence left
-on the diagonal is the eps block; the fixed-point update here therefore
-adds the state-derivative mass term (h/tau) Hinv(w_bar) (w - w_bar) to both
-sides.  The added term vanishes identically at any fixed point, so the
-solved states are the same, but the iteration gains Newton-like local
-convergence.
+banded system.  That frozen map alone converges hopelessly slowly for small
+eps, so the update adds the state-derivative mass term (h/tau) Hinv(w_bar)
+(w - w_bar) to both sides: it vanishes at any fixed point, so the solved
+states are the same, and the iteration gains Newton-like local convergence.
 
-Each iterate w is evaluated once: its fractions c(w) are checked for
-admissibility once, and the Hessian inverse, the mobility and the production
-rates built from them are kept, read-only, in one private evaluation.  The
-assembly at w reads them from there; the evaluation of an accepted state is
-returned with its ``StepResult`` and carried into the step record, the
-audit's production integral and the next step, so nothing is rebuilt at the
-same w.  The public entry points (``advance_step``, ``run_simulation``)
-keep their input checks.
+Each iterate w is evaluated once: its fractions c(w) are checked once, and
+the Hessian inverse, mobility and production rates built from them are kept,
+read-only, in one private evaluation that the assembly, the step record,
+the audit and the next step all read.  The public entry points
+(``advance_step``, ``run_simulation``) keep their input checks.
 
 Unknowns are ordered cell-major (all species of cell 0, then cell 1, ...),
 which keeps the matrix banded with half-bandwidth 2N: couplings reach one
 cell for the mobility stiffness and two cells for the bilaplacian
-regularization.
+regularization.  The bands sit in one Fortran-ordered LAPACK lower-band
+buffer for the banded Cholesky and the BLAS band product ``dsbmv``.  The
+matrix does not depend on c_prev, so a step starting at the state its
+predecessor accepted reuses that assembly and rebuilds only the right-hand side.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import solveh_banded
+from scipy.linalg.blas import dsbmv
 
 from .diagnostics import (
     AuditVerdict,
@@ -228,8 +227,7 @@ def regularize_initial(spec: MixtureSpec, c0: np.ndarray, eta: float) -> np.ndar
         )
     if np.any(c0 < 0.0):
         raise InadmissibleInitialData("negative initial fraction")
-    sums = c0.sum(axis=-1)
-    if np.any(sums > 1.0 + 1e-12):
+    if np.any(c0.sum(axis=-1) > 1.0 + 1e-12):
         raise InadmissibleInitialData("initial fractions exceed unit sum")
     try:
         return _require_strict((1.0 - n1 * eta) * c0 + eta)
@@ -241,29 +239,31 @@ class _Workspace:
     """Preallocated buffers, scatter indices and eps bands reused across
     assemblies.
 
-    ``block_at`` and ``coupling_at`` are flat positions in ``ab`` (banded
-    storage, ab[k, q] = S[q + k, q]): one row per cell for the lower
-    triangle of its diagonal block, taken in ``tril`` order, and one row per
-    interior face for the full block coupling its right cell to its left.
-    ``eps_bands(eps)`` holds the eps-bilaplacian term ``eps h (L^2 + I)``
-    in the same storage; it depends only on the grid and eps, so it is
-    built once and rebuilt only when eps changes.
+    ``ab`` is banded storage, ab[k, q] = S[q + k, q], in Fortran order, which
+    ``dsbmv`` reads in place; ``block_at`` and ``coupling_at`` are flat
+    column-major positions in it: one row per cell for the lower triangle of
+    its diagonal block, in ``tril`` order, and one row per interior face for
+    the full block coupling its right cell to its left.  ``eps_bands(eps)``
+    holds ``eps h (L^2 + I)`` in the same storage, built once per eps.
+    ``held`` is ``(state, tau, eps, ||S||_F, S w)`` of the matrix in ``ab``
+    when ``advance_step`` assembled it, None after any other assembly.
     """
 
     def __init__(self, spec: MixtureSpec, grid: Grid1D):
         n = spec.n_reduced
-        size = n * grid.cells
-        self.ab = np.empty((2 * n + 1, size))
+        rows = 2 * n + 1
+        self.ab = np.empty((rows, n * grid.cells), order="F")
         self.n, self.cells, self.h = n, grid.cells, grid.h
         self.l2_bands = laplacian_squared_lower_bands(grid)
         first = n * np.arange(grid.cells)[:, None]
         self.tril = np.tril_indices(n)
         i, j = self.tril
-        self.block_at = (i - j) * size + first + j
+        self.block_at = (first + j) * rows + (i - j)
         i, j = np.divmod(np.arange(n * n), n)
-        self.coupling_at = (n + i - j) * size + first[:-1] + j
+        self.coupling_at = (first[:-1] + j) * rows + (n + i - j)
         self._eps: float | None = None
         self._eps_ab = np.zeros_like(self.ab)
+        self.held: tuple | None = None
 
     def eps_bands(self, eps: float) -> np.ndarray:
         """The eps-bilaplacian bands in banded storage, cached per eps."""
@@ -279,6 +279,14 @@ class _Workspace:
                 ab[2 * n, : (m - 2) * n] = np.repeat(s * l2, n)
             self._eps = eps
         return self._eps_ab
+
+
+def _rhs(h: float, tau: float, state: _State, c_prev, hinv_scaled) -> np.ndarray:
+    """The system's right-hand side, its only part that reads ``c_prev``."""
+    b = (h / tau) * (c_prev - state.c)
+    b += h * state.r
+    b += np.einsum("mij,mj->mi", hinv_scaled, state.w)  # state.hinv * (h / tau)
+    return b.ravel()
 
 
 def _assemble_banded(
@@ -304,6 +312,7 @@ def _assemble_banded(
     m = grid.cells
     h = grid.h
     ab = work.ab
+    work.held = None
     np.copyto(ab, work.eps_bands(eps))
     B = state.B
     Bf = 0.5 * (B[:-1] + B[1:])
@@ -312,31 +321,22 @@ def _assemble_banded(
     dblk[1:] += Bf
     dblk[:-1] += Bf
     dblk /= h
-    b = (h / tau) * (c_prev - state.c)
-    b += h * state.r
     hinv = state.hinv * (h / tau)
     dblk += hinv
-    b += np.einsum("mij,mj->mi", hinv, state.w)
-    flat = ab.reshape(-1)
+    flat = ab.ravel(order="F")
     i, j = work.tril
     flat[work.block_at] += dblk[:, i, j]
     flat[work.coupling_at] += (Bf / (-h)).reshape(m - 1, n * n)
-    return ab, b.ravel()
+    return ab, _rhs(h, tau, state, c_prev, hinv)
 
 
 def _band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
-    y = ab[0] * x
-    size = x.size
-    for k in range(1, ab.shape[0]):
-        a = ab[k, : size - k]
-        y[k:] += a * x[: size - k]
-        y[: size - k] += a * x[k:]
-    return y
+    """S x for the symmetric matrix in Fortran-ordered lower storage ``ab``."""
+    return dsbmv(ab.shape[0] - 1, 1.0, ab, x, lower=1)
 
 
-def _band_norm(ab: np.ndarray) -> float:
-    """Frobenius norm of the symmetric matrix stored in ``ab``."""
-    return np.sqrt(float(np.sum(ab[0] ** 2)) + 2.0 * float(np.sum(ab[1:] ** 2)))
+def _norm(v: np.ndarray) -> float:
+    return math.sqrt(float(v @ v))
 
 
 def _solve_checked(
@@ -345,18 +345,18 @@ def _solve_checked(
     """Solve the banded system by Cholesky and check the solution.
 
     Returns x and its backward-error residual ||S x - b|| / (||S||_F ||x||
-    + ||b||), with ``norm_S`` = ||S||_F.  A failed factorization, a
-    non-finite solution or a residual above 1e-12 raises
-    ``LinearSolveFailure``.
+    + ||b||), with ``norm_S`` = ||S||_F and S x one ``dsbmv`` call on the
+    Fortran-ordered bands.  A failed factorization, a non-finite solution
+    or a residual above 1e-12 raises ``LinearSolveFailure``.
     """
     try:
         x = solveh_banded(ab, b, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise LinearSolveFailure(f"banded Cholesky failed: {exc}") from exc
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise LinearSolveFailure("linear solver produced non-finite values")
-    denom = max(norm_S * float(np.linalg.norm(x)) + float(np.linalg.norm(b)), 1e-300)
-    resid = float(np.linalg.norm(_band_matvec(ab, x) - b)) / denom
+    denom = max(norm_S * _norm(x) + _norm(b), 1e-300)
+    resid = _norm(_band_matvec(ab, x) - b) / denom
     if resid > 1e-12:
         raise LinearSolveFailure(f"linear solve residual {resid:.3e} exceeds 1e-12")
     return x, resid
@@ -395,8 +395,10 @@ def advance_step(
     once (fractions checked, mobility and production built) and assembled
     from that evaluation.  The accepted state's evaluation comes back as
     ``StepResult.state``; passing it as ``prev`` to the next call, with its
-    ``w`` as ``w_prev``, spares evaluating the start state again.  A ``prev``
-    whose ``w`` is not the ``w_prev`` array raises ``InconsistentFields``.
+    ``w`` as ``w_prev``, spares evaluating the start state again, and with
+    the same ``work``, tau and eps also assembling it: only the right-hand
+    side is rebuilt.  A ``prev`` whose ``w`` is not the ``w_prev`` array
+    raises ``InconsistentFields``.
     """
     tau = params.tau if tau is None else tau
     if work is None:
@@ -407,22 +409,28 @@ def advance_step(
         raise InconsistentFields("prev is not the evaluation of w_prev")
     c_prev = prev.c
     theta = params.damping_theta
-    restarts = 0
-    iterations = 0
-    all_increments: list[float] = []
+    restarts = iterations = 0
+    increments: list[float] = []
 
     def assemble_at(state: _State) -> tuple[np.ndarray, np.ndarray, float, float]:
         """Assemble at a state; return system, rhs, its norm and the residual there."""
+        held = work.held
+        if held is not None and held[0] is state and held[1:3] == (tau, params.eps):
+            b = _rhs(grid.h, tau, state, c_prev, state.hinv * (grid.h / tau))
+            return work.ab, b, held[3], _norm(held[4] - b)
         ab, b = _assemble_banded(spec, grid, tau, params.eps, state, c_prev, work)
-        norm_S = _band_norm(ab)
-        res = float(np.linalg.norm(_band_matvec(ab, state.w.ravel()) - b))
-        return ab, b, norm_S, res
+        # ||S||_F: twice all squared bands (the unused corner is 0) less the diagonal's
+        flat = ab.ravel(order="F")
+        norm_S = math.sqrt(2.0 * float(flat @ flat) - float(ab[0] @ ab[0]))
+        Sw = _band_matvec(ab, state.w.ravel())
+        work.held = (state, tau, params.eps, norm_S, Sw)
+        return ab, b, norm_S, _norm(Sw - b)
 
     tol = min(params.picard_tol, POLISH_INCREMENT if params.final_polish else np.inf)
     while True:
         acc = prev
         ab, b, norm_S, f_acc = assemble_at(acc)
-        increments: list[float] = []
+        first = len(increments)  # this restart's increments start here
         last_s = 1.0
         while iterations < params.picard_max:
             x, lin_resid = _solve_checked(ab, b, norm_S)
@@ -431,18 +439,15 @@ def advance_step(
             for _ in range(11):
                 trial = _evaluate(spec, acc.w + (theta * s) * d)
                 ab, b, norm_S, f_try = assemble_at(trial)
-                floor = 1e-14 * (
-                    norm_S * float(np.linalg.norm(trial.w)) + float(np.linalg.norm(b))
-                )
+                floor = 1e-14 * (norm_S * _norm(trial.w.ravel()) + _norm(b))
                 if f_try <= (1.0 - 1e-4 * theta * s) * f_acc or f_try <= floor:
                     break
                 s *= 0.5
             else:
                 break  # the backtracking failed: restart
             iterations += 1
-            inc = float(np.max(np.abs(trial.w - acc.w)))
+            inc = float(np.abs(trial.w - acc.w).max())
             increments.append(inc)
-            all_increments.append(inc)
             acc = trial
             f_acc = f_try
             if f_acc <= floor or inc <= tol:
@@ -456,7 +461,7 @@ def advance_step(
                     state=acc,
                 )
             if (
-                len(increments) >= 3
+                len(increments) - first >= 3
                 and increments[-1] > increments[-2] > increments[-3]
                 and (s < 1.0 or last_s < 1.0)
             ):
@@ -465,13 +470,13 @@ def advance_step(
         else:
             raise NonlinearDivergence(
                 f"no convergence within {params.picard_max} iterations",
-                increments=all_increments,
+                increments=increments,
             )
         restarts += 1
         if restarts > 3 or iterations >= params.picard_max:
             raise NonlinearDivergence(
                 f"diverging increments after {restarts - 1} restarts",
-                increments=all_increments,
+                increments=increments,
             )
         theta *= 0.5
 
@@ -561,7 +566,6 @@ def run_simulation(
     t = 0.0
     k = 0
     last_stored = 0
-    last_iterations = 0
     while True:
         remaining = params.t_end - t
         if remaining <= 1e-9 * params.tau:
@@ -585,7 +589,6 @@ def run_simulation(
         t += tau_k
         state = step.state
         c_new, w_new = state.c, state.w
-        last_iterations = step.iterations
         store = k % record_every == 0
         if build_every or store:
             new_record = _make_record(
@@ -594,8 +597,7 @@ def run_simulation(
         else:
             new_record = None
         r_int = integrate(grid, state.r)
-        w_int = integrate(grid, w_new)
-        result.w_time_integral += tau_k * w_int
+        result.w_time_integral += tau_k * integrate(grid, w_new)
         result.production_time_integral += tau_k * r_int
         if audit_mode != "off":
             verdict = audit_step(
@@ -605,16 +607,8 @@ def run_simulation(
             )
             result.verdicts.append(verdict)
             if not verdict.passed:
-                failed = [
-                    name
-                    for name, ok in (
-                        ("entropy", verdict.entropy_ok),
-                        ("mass", verdict.mass_ok),
-                        ("bounds", verdict.bounds_ok),
-                        ("dissipation", verdict.dissipation_ok),
-                    )
-                    if not ok
-                ]
+                names = ("entropy", "mass", "bounds", "dissipation")
+                failed = [n for n in names if not getattr(verdict, f"{n}_ok")]
                 msg = f"step {k} violated: {', '.join(failed)}"
                 if audit_mode == "enforce":
                     result.c, result.w = c_new, w_new
@@ -634,7 +628,7 @@ def run_simulation(
     if result.steps and last_stored != result.steps:
         if record is None:
             record = _make_record(
-                grid, t, state.B, state.cf, w, reference, last_iterations
+                grid, t, state.B, state.cf, w, reference, step.iterations
             )
         result.records.append(record)
     return result

@@ -579,6 +579,19 @@ class TestAdmissibility:
         assert not admits(_require_strict, np.array([EPS_ADMISSIBLE / 2, 0.3]))
         assert not admits(_require_strict, np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("where", [(0, 0), (1, 1)])
+    def test_nan_entry_rejected(self, where):
+        # the checks reduce with min/max; a NaN anywhere must still fail them
+        c = np.full((3, 2), 0.25)
+        c[where] = np.nan
+        assert not admits(_require_admissible, c)
+        assert not admits(_require_strict, c)
+
+    def test_empty_batch_admitted(self):
+        empty = np.empty((0, 2))
+        assert admits(_require_admissible, empty)
+        assert admits(_require_strict, empty)
+
     def test_full_concentrations_closes_sum(self):
         cf = full_concentrations(np.array([0.2, 0.3]))
         np.testing.assert_allclose(cf, [0.2, 0.3, 0.5], atol=1e-15)

@@ -5,6 +5,7 @@ constant reduction of the step equation, where the diffusion terms drop and
 the fixed point satisfies c(w) + eps*tau*w = c_prev cell-wise.
 """
 
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -264,6 +265,29 @@ class TestBandAssembly:
             )
             assert np.array_equal(ab, ab_k)
 
+    @pytest.mark.parametrize("n_species", [3, 4, 5, 6])
+    @pytest.mark.parametrize("cells", [2, 3, 7, 128])
+    def test_band_product_matches_dense(self, n_species, cells):
+        # at 2 cells the half-bandwidth 2N reaches the system size
+        spec = random_spec(n_species, seed=cells)
+        grid = Grid1D(1.3, cells)
+        rng = np.random.default_rng(n_species * 100 + cells)
+        w_bar = rng.normal(size=(cells, spec.n_reduced))
+        c_prev = w_to_c(rng.normal(size=(cells, spec.n_reduced)))
+        ab, _ = banded_system(spec, grid, 0.01, 1e-3, w_bar, c_prev)
+        assert ab.flags.f_contiguous
+        ab_ref, _ = loop_assemble(spec, grid, 0.01, 1e-3, w_bar, c_prev)
+        assert np.array_equal(ab, ab_ref)
+        size = ab.shape[1]
+        S = np.zeros((size, size))
+        for k in range(ab.shape[0]):
+            idx = np.arange(size - k)
+            S[idx + k, idx] = S[idx, idx + k] = ab[k, : size - k]
+        x = rng.normal(size=size)
+        y = msdiff.stepper._band_matvec(ab, x)
+        scale = np.abs(S) @ np.abs(x)
+        assert np.max(np.abs(y - S @ x)) <= 1e-14 * np.max(scale)
+
     def test_evaluation_arrays_are_read_only(self):
         spec = random_spec(5)
         w = np.zeros((4, 4))
@@ -509,6 +533,56 @@ class TestRunSimulation:
         assert partial.steps == 0
         assert partial.tau_retries == 6
         assert len(partial.records) == 1
+
+    @pytest.mark.parametrize(
+        "setup",
+        [
+            lambda: heat_setup(t_end=0.0105),
+            # one natural step-size retry at picard_max=20, on top of the forced one
+            lambda: rough_setup(picard_max=20, t_end=3.5e-3),
+        ],
+        ids=["heat", "rough"],
+    )
+    def test_carried_assembly_matches_fresh_assembly(self, setup, monkeypatch):
+        # a step starting at its predecessor's accepted state reuses that
+        # state's assembly; assembling afresh must give the same bits
+        spec, grid, params, c0 = setup()
+        original_step = msdiff.stepper.advance_step
+        original_assemble = msdiff.stepper._assemble_banded
+
+        def run(workspace):
+            calls = {"steps": 0, "assemblies": 0}
+
+            def flaky_step(*args, **kwargs):
+                step = original_step(*args, **kwargs)
+                calls["steps"] += 1
+                if calls["steps"] == 3:  # discard a converged step: a tau retry
+                    raise NonlinearDivergence("forced retry")
+                return step
+
+            def counted_assemble(*args, **kwargs):
+                calls["assemblies"] += 1
+                return original_assemble(*args, **kwargs)
+
+            monkeypatch.setattr(msdiff.stepper, "_Workspace", workspace)
+            monkeypatch.setattr(msdiff.stepper, "advance_step", flaky_step)
+            monkeypatch.setattr(msdiff.stepper, "_assemble_banded", counted_assemble)
+            return run_simulation(spec, grid, params, c0), calls["assemblies"]
+
+        class FreshWorkspace(msdiff.stepper._Workspace):
+            held = property(lambda self: None, lambda self, value: None)
+
+        carried, carried_assemblies = run(msdiff.stepper._Workspace)
+        fresh, fresh_assemblies = run(FreshWorkspace)
+        assert carried.tau_retries >= 1
+        assert carried.t_final == pytest.approx(params.t_end, abs=1e-12)
+        assert carried_assemblies < fresh_assemblies
+        assert [r.picard_iterations for r in carried.records] == [
+            r.picard_iterations for r in fresh.records
+        ]
+        assert np.array_equal(carried.w, fresh.w)
+        assert np.array_equal(carried.c, fresh.c)
+        assert pickle.dumps(carried) == pickle.dumps(fresh)
 
     def test_validation_of_run_arguments(self):
         spec, grid, params, c0 = heat_setup()
