@@ -13,6 +13,7 @@ Exit codes: 0 clean, 1 solver abort, 2 audit or certification failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -168,18 +169,7 @@ def _write_timeseries(path: Path, records) -> None:
 
 
 def _verdict_dict(v) -> dict:
-    return {
-        "time": v.time,
-        "entropy_ok": v.entropy_ok,
-        "entropy_margin": v.entropy_margin,
-        "mass_ok": v.mass_ok,
-        "mass_margin": v.mass_margin,
-        "bounds_ok": v.bounds_ok,
-        "bounds_margin": v.bounds_margin,
-        "dissipation_ok": v.dissipation_ok,
-        "dissipation_margin": v.dissipation_margin,
-        "passed": v.passed,
-    }
+    return dict(dataclasses.asdict(v), passed=v.passed)
 
 
 def _analytic_l2_error(config: RunConfig, spec, grid, params, result) -> float | None:
@@ -290,7 +280,7 @@ def run_scenario(config: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     masses0 = integrate(grid, full_concentrations(c_start))
     reference = masses0 / masses0.sum()
-    snap_dir = out if config.emit_snapshots and config.snapshot_every > 0 else None
+    snap_dir = out if config.snapshot_every > 0 else None
     collector = RunCollector(
         spec, grid, reference, snap_dir, config.snapshot_every
     )
@@ -353,21 +343,19 @@ def run_scenario(config: RunConfig) -> int:
     return exit_code
 
 
-def certify(config: RunConfig, samples: int | None = None) -> int:
+def certify(config: RunConfig) -> int:
     """Certify spectral bands and mobility definiteness on random states."""
     try:
         spec = materialize_spec(config)
     except (ParseError, ValidationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 64
-    if samples is None:
-        samples = config.samples
     rng = np.random.default_rng(config.seed)
     n1 = spec.n_species
     floor = 1e-12
     results = []
     all_passed = True
-    for i in range(samples):
+    for i in range(config.samples):
         cf = rng.dirichlet(np.ones(n1))
         c = (1.0 - n1 * floor) * cf[:-1] + floor
         rep_f = certify_friction_spectrum(spec, c)
@@ -398,7 +386,7 @@ def certify(config: RunConfig, samples: int | None = None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     payload = {
         "species": n1,
-        "samples": samples,
+        "samples": config.samples,
         "seed": config.seed,
         "delta": spec.delta,
         "Delta": spec.Delta,

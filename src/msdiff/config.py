@@ -51,7 +51,6 @@ class RunConfig:
     seed: int = 0
     samples: int = 1000
     emit_timeseries: bool = True
-    emit_snapshots: bool = True
     emit_audit_json: bool = True
 
 
@@ -125,7 +124,6 @@ _KEYS = {
     "seed": (_parse_int, lambda v: 0 <= v < 2**64, "must fit in 64 bits"),
     "samples": (_parse_int, lambda v: v >= 0, "must be nonnegative"),
     "emit_timeseries": (_parse_bool, None, ""),
-    "emit_snapshots": (_parse_bool, None, ""),
     "emit_audit_json": (_parse_bool, None, ""),
 }
 

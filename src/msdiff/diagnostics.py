@@ -258,9 +258,10 @@ def audit_step(
 
     Entropy: the new entropy plus the dissipation lower bound and the
     regularization payments must not exceed the previous entropy beyond
-    ``slack`` (plus the recorded production bound for laws violating the
-    sign condition).  Mass: the per-species change must match the exact
-    balance ``-eps * tau * integral(w) + tau * integral(r)`` to 1e-10.
+    ``slack``; production adds nothing to that budget, because both laws
+    meet the entropy sign condition exactly.  Mass: the per-species change
+    must match the exact balance ``-eps * tau * integral(w) +
+    tau * integral(r)`` to 1e-10.
     Bounds: strict positivity of every fraction, including the implied one.
     Dissipation: the raw form dominates the square-root form (tol 1e-9).
     The regularization payment applies the Neumann Laplacian as its O(M)
@@ -268,13 +269,12 @@ def audit_step(
     """
     lap_w = divergence(grid, face_gradient(grid, w_new))
     reg = float(integrate(grid, np.sum(lap_w**2 + w_new**2, axis=-1)))
-    budget = slack + spec.production.entropy_bound * tau * grid.length
     lhs = (
         new_record.entropy
         + (4.0 * tau / spec.Delta) * new_record.dissipation_sqrt
         + eps * tau * reg
     )
-    entropy_margin = prev_record.entropy + budget - lhs
+    entropy_margin = prev_record.entropy + slack - lhs
     w_int = integrate(grid, w_new)
     if production_integral is None:
         production_integral = np.zeros(spec.n_reduced)

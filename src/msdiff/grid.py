@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import diags
 
 from .errors import DimensionMismatch, ValidationError
 
@@ -70,6 +69,14 @@ def divergence(grid: Grid1D, flux: np.ndarray) -> np.ndarray:
     return (flux[1:] - flux[:-1]) / grid.h
 
 
+def _laplacian_bands(grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
+    """Main and first off-diagonal of the (symmetric) Neumann Laplacian."""
+    main = np.full(grid.cells, -2.0)
+    main[0] = -1.0
+    main[-1] = -1.0
+    return main / grid.h**2, np.ones(grid.cells - 1) / grid.h**2
+
+
 def neumann_laplacian(grid: Grid1D) -> np.ndarray:
     """Dense matrix of ``divergence(face_gradient(.))``.
 
@@ -77,16 +84,8 @@ def neumann_laplacian(grid: Grid1D) -> np.ndarray:
     first and last diagonal entries are ``-1/h^2`` because the wall faces
     carry no flux.
     """
-    return _laplacian_sparse(grid).toarray()
-
-
-def _laplacian_sparse(grid: Grid1D):
-    M = grid.cells
-    main = np.full(M, -2.0)
-    main[0] = -1.0
-    main[-1] = -1.0
-    off = np.ones(M - 1)
-    return diags([off, main, off], [-1, 0, 1]) / grid.h**2
+    d, e = _laplacian_bands(grid)
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
 
 
 def laplacian_squared_lower_bands(grid: Grid1D) -> tuple[np.ndarray, ...]:
@@ -94,11 +93,16 @@ def laplacian_squared_lower_bands(grid: Grid1D) -> tuple[np.ndarray, ...]:
 
     The square is pentadiagonal and symmetric, so these three bands define
     it; the implicit stepper assembles its fourth-order regularization term
-    from them directly in banded storage.
+    from them directly in banded storage.  The diagonal sums its terms in
+    column order, ``(e[m-1]**2 + d[m]**2) + e[m]**2``, the order of a sparse
+    row-times-column product, so the bands are bitwise those of
+    ``scipy.sparse``'s ``L @ L``.
     """
-    L = _laplacian_sparse(grid)
-    L2 = (L @ L).todia()
-    return (L2.diagonal(0), L2.diagonal(-1), L2.diagonal(-2))
+    d, e = _laplacian_bands(grid)
+    l0 = d * d
+    l0[1:] = e * e + l0[1:]
+    l0[:-1] += e * e
+    return (l0, e * d[:-1] + d[1:] * e, e[1:] * e[:-1])
 
 
 def integrate(grid: Grid1D, f: np.ndarray) -> np.ndarray | float:

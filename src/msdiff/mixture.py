@@ -35,9 +35,7 @@ pairwise and the two differ by a few ulps.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from scipy.special import xlogy
@@ -66,24 +64,14 @@ EPS_ADMISSIBLE = 1e-14
 class ProductionLaw:
     """Species production rates r(c) entering the right-hand side.
 
-    ``kind`` is one of ``"zero"``, ``"quaternary_reversible"``, ``"custom"``.
-    A custom law wraps a callable mapping a full concentration vector (all
-    N+1 species, trailing axis) to N+1 rates.  Total mass conservation
-    ``sum_i r_i = 0`` is enforced exactly at evaluation time by deriving the
-    last rate from the others; the callable's own last component is checked
-    against that convention by sampling at construction.
-
-    ``entropy_sign_ok`` records whether the sampled law satisfied the strong
-    sign condition ``sum_i r_i log c_i <= 0`` everywhere it was probed.  When
-    it did not, ``entropy_bound`` holds the largest sampled value of that sum,
-    which shifts the per-step entropy audit by ``entropy_bound * tau * L``.
+    ``kind`` is ``"zero"`` or ``"quaternary_reversible"``.  Both laws meet
+    the strong entropy sign condition ``sum_i r_i log c_i <= 0`` exactly,
+    which is what the per-step entropy audit assumes, and both conserve
+    total mass, ``sum_i r_i = 0``, exactly.
     """
 
     kind: str
     n_species: int = 0  # 0 means "any"
-    rate_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    entropy_sign_ok: bool = True
-    entropy_bound: float = 0.0
 
     @staticmethod
     def zero() -> "ProductionLaw":
@@ -99,62 +87,12 @@ class ProductionLaw:
         """
         return ProductionLaw(kind="quaternary_reversible", n_species=5)
 
-    @staticmethod
-    def custom(
-        rate_fn: Callable[[np.ndarray], np.ndarray],
-        n_species: int,
-        seed: int = 0,
-        samples: int = 10_000,
-    ) -> "ProductionLaw":
-        """Wrap a user rate function, validating it by Monte-Carlo sampling.
-
-        Draws ``samples`` states uniformly from the composition simplex and
-        checks that the rates sum to ~0 (hard error otherwise) and that the
-        entropy sign condition holds (downgraded to a warning; the sampled
-        bound is recorded and enters the entropy audit as extra slack).
-        """
-        if n_species < 3:
-            raise WrongSpeciesCount("custom production law needs >= 3 species")
-        rng = np.random.default_rng(seed)
-        c_full = rng.dirichlet(np.ones(n_species), size=samples)
-        r = np.asarray(rate_fn(c_full), dtype=float)
-        if r.shape != c_full.shape:
-            raise InvalidProductionLaw(
-                f"rate function returned shape {r.shape}, expected {c_full.shape}"
-            )
-        totals = np.abs(r.sum(axis=-1))
-        scale = max(1.0, float(np.max(np.abs(r))))
-        if np.max(totals) > 1e-10 * scale:
-            raise InvalidProductionLaw(
-                f"rates do not sum to zero (max |sum r| = {np.max(totals):.3e})"
-            )
-        # entropy production of the sampled states; positive values mean the
-        # law only satisfies the weaker bounded-production condition
-        s = np.sum(r * np.log(c_full), axis=-1)
-        bound = float(np.max(s))
-        sign_ok = bound <= 1e-12 * scale
-        if not sign_ok:
-            warnings.warn(
-                "custom production law violates the entropy sign condition "
-                f"(max sampled entropy production {bound:.3e}); the per-step "
-                "entropy audit will carry that bound as extra slack",
-                stacklevel=2,
-            )
-        return ProductionLaw(
-            kind="custom",
-            n_species=n_species,
-            rate_fn=rate_fn,
-            entropy_sign_ok=sign_ok,
-            entropy_bound=max(bound, 0.0) if not sign_ok else 0.0,
-        )
-
 
 def production_rates(law: ProductionLaw, c_full: np.ndarray) -> np.ndarray:
     """Evaluate production rates on full concentration vectors.
 
     ``c_full`` has the N+1 fractions on the trailing axis.  The returned
-    rates sum to zero exactly: the last component is always derived as the
-    negated sum of the first N.
+    rates sum to zero exactly.
     """
     c_full = np.asarray(c_full, dtype=float)
     n = c_full.shape[-1]
@@ -172,14 +110,6 @@ def production_rates(law: ProductionLaw, c_full: np.ndarray) -> np.ndarray:
         r[..., 2] = q
         r[..., 3] = -q
         # r_5 stays zero; the first four cancel pairwise, so the sum is exact
-        return r
-    if law.kind == "custom":
-        if law.n_species and n != law.n_species:
-            raise WrongSpeciesCount(
-                f"custom law declared {law.n_species} species, got {n}"
-            )
-        r = np.asarray(law.rate_fn(c_full), dtype=float).copy()
-        r[..., -1] = -np.sum(r[..., :-1], axis=-1)
         return r
     raise InvalidProductionLaw(f"unknown production law kind {law.kind!r}")
 

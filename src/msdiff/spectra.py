@@ -21,13 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NotSymmetric
-from .mixture import (
-    MixtureSpec,
-    friction_matrix,
-    friction_matrix_symmetric,
-    full_concentrations,
-    reduced_friction_matrix,
-)
+from .mixture import MixtureSpec, friction_matrix_symmetric, reduced_friction_matrix
 
 
 @dataclass(frozen=True)
@@ -52,10 +46,10 @@ class SpectrumReport:
         self.eigenvalues.setflags(write=False)
 
 
-def symmetric_spectrum(M: np.ndarray, sym_tol: float = 1e-8) -> np.ndarray:
+def symmetric_spectrum(M: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, ascending.
 
-    Rejects matrices whose asymmetry exceeds ``sym_tol`` (absolute, scaled by
+    Rejects matrices whose asymmetry exceeds 1e-8 (absolute, scaled by
     ``max(1, |M|_max)``); smaller asymmetries are averaged away before the
     solve so the backend sees an exactly symmetric input.
     """
@@ -64,39 +58,21 @@ def symmetric_spectrum(M: np.ndarray, sym_tol: float = 1e-8) -> np.ndarray:
         raise DimensionMismatch(f"expected a square matrix, got shape {M.shape}")
     scale = max(1.0, float(np.max(np.abs(M))))
     asym = float(np.max(np.abs(M - M.T)))
-    if asym > sym_tol * scale:
+    if asym > 1e-8 * scale:
         raise NotSymmetric(f"asymmetry {asym:.3e} exceeds tolerance")
     return np.linalg.eigvalsh(0.5 * (M + M.T))
 
 
-def _band_tol(spec: MixtureSpec, tol: float | None) -> float:
-    return 1e-9 * spec.Delta if tol is None else tol
-
-
-def certify_friction_spectrum(
-    spec: MixtureSpec, c: np.ndarray, tol: float | None = None
-) -> SpectrumReport:
+def certify_friction_spectrum(spec: MixtureSpec, c: np.ndarray) -> SpectrumReport:
     """Report on the spectrum of -A(c) for an interior state.
 
     Computed through the symmetric similarity transform, so the certified
-    claims are: exactly one eigenvalue at zero (within ``tol``), all others
-    inside ``[delta - tol, Delta)``.  With ``tol == 0`` the zero eigenvalue
-    is detected structurally instead, by checking the known kernel vector
-    ``A(c) @ c_full == 0`` exactly, and the eigenvalue nearest zero stands
-    in for it in the band check.
+    claims are: exactly one eigenvalue at zero (within ``tol = 1e-9 *
+    Delta``), all others inside ``[delta - tol, Delta)``.
     """
-    tol = _band_tol(spec, tol)
+    tol = 1e-9 * spec.Delta
     vals = symmetric_spectrum(-friction_matrix_symmetric(spec, c))
-    if tol > 0.0:
-        zero_mask = np.abs(vals) <= tol
-    else:
-        cf = full_concentrations(c)
-        residual = float(np.max(np.abs(friction_matrix(spec, c) @ cf[..., None])))
-        zero_mask = np.zeros(len(vals), dtype=bool)
-        if residual == 0.0:
-            zero_mask[int(np.argmin(np.abs(vals)))] = True
-        else:
-            zero_mask = vals == 0.0
+    zero_mask = np.abs(vals) <= tol
     rest = vals[~zero_mask]
     in_band = bool(np.all(rest >= spec.delta - tol) and np.all(rest < spec.Delta))
     return SpectrumReport(
@@ -109,17 +85,15 @@ def certify_friction_spectrum(
     )
 
 
-def certify_reduced_spectrum(
-    spec: MixtureSpec, c: np.ndarray, tol: float | None = None
-) -> SpectrumReport:
+def certify_reduced_spectrum(spec: MixtureSpec, c: np.ndarray) -> SpectrumReport:
     """Report on the spectrum of A0(c), valid on the closed simplex.
 
     Uses the general Hessenberg QR eigensolver (A0 is not symmetric) and
-    insists the computed eigenvalues are real up to ``tol``; the provable
-    statement is that they all sit inside ``[delta - tol, Delta)`` with no
-    zero among them.
+    insists the computed eigenvalues are real up to ``tol = 1e-9 * Delta``;
+    the provable statement is that they all sit inside
+    ``[delta - tol, Delta)`` with no zero among them.
     """
-    tol = _band_tol(spec, tol)
+    tol = 1e-9 * spec.Delta
     vals = np.linalg.eigvals(reduced_friction_matrix(spec, c))
     max_imag = float(np.max(np.abs(vals.imag))) if vals.size else 0.0
     if max_imag > max(tol, 1e-12 * max(1.0, spec.Delta)):

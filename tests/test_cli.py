@@ -184,6 +184,14 @@ class TestErrorExits:
         assert "configuration error: eps: " in capsys.readouterr().err
         assert not out.exists()
 
+    def test_retired_snapshot_switch_exits_64_before_writing(self, tmp_path, capsys):
+        # snapshot_every=0 is the one way to turn snapshots off
+        out = tmp_path / "out"
+        assert main(run_args(out, "--override", "emit_snapshots=false")) == 64
+        err = capsys.readouterr().err
+        assert "configuration error: emit_snapshots: unknown key" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("eta", ["1e-16", "5e-15"])
     def test_tiny_eta_floor_exits_64_before_writing(self, tmp_path, capsys, eta):
         # the blended initial data would touch the simplex boundary

@@ -94,7 +94,7 @@ class TestParseConfig:
             ("damping_theta=0", "damping_theta"),
             ("damping_theta=2", "damping_theta"),
             ("production=fission", "production"),
-            ("emit_snapshots=yes", "emit_snapshots"),
+            ("emit_audit_json=yes", "emit_audit_json"),
             ("seed=-1", "seed"),
             ("t_end=-2", "t_end"),
         ],
@@ -105,8 +105,8 @@ class TestParseConfig:
         assert info.value.key == key
 
     def test_bool_keys(self):
-        config = parse_config(MINIMAL + "\nemit_snapshots=false\nemit_timeseries=true")
-        assert config.emit_snapshots is False
+        config = parse_config(MINIMAL + "\nemit_audit_json=false\nemit_timeseries=true")
+        assert config.emit_audit_json is False
         assert config.emit_timeseries is True
 
     def test_quaternary_law_needs_five_species(self):

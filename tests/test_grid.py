@@ -1,8 +1,14 @@
 """Finite-volume grid operators on the closed interval with no-flux walls."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.sparse import diags
 
+import msdiff
 from msdiff import (
     DimensionMismatch,
     Grid1D,
@@ -124,6 +130,25 @@ class TestLaplacianSquaredBands:
         np.testing.assert_allclose(d1, np.diag(L2, -1), rtol=1e-13)
         np.testing.assert_allclose(d2, np.diag(L2, -2), rtol=1e-13)
 
+    @pytest.mark.parametrize(
+        "length,cells",
+        [(1.0, 2), (1.0, 3), (0.1, 17), (3.7, 128), (6.286, 129), (0.125, 1000),
+         (10.0, 4096), (1.0, 8192)],
+    )
+    def test_bitwise_equal_to_sparse_product(self, length, cells):
+        grid = Grid1D(length=length, cells=cells)
+        main = np.full(cells, -2.0)
+        main[0] = main[-1] = -1.0
+        off = np.ones(cells - 1)
+        L = diags([off, main, off], [-1, 0, 1]) / grid.h**2
+        L2 = (L @ L).todia()
+        expected = (L2.diagonal(0), L2.diagonal(-1), L2.diagonal(-2))
+        for band, ref in zip(laplacian_squared_lower_bands(grid), expected):
+            assert band.dtype == ref.dtype
+            assert np.array_equal(band, ref)
+        if cells <= 1000:
+            assert np.array_equal(neumann_laplacian(grid), L.toarray())
+
     def test_positive_semidefinite_quadratic_form(self):
         grid = Grid1D(length=1.0, cells=7)
         L = neumann_laplacian(grid)
@@ -148,3 +173,16 @@ class TestIntegrate:
     def test_per_species_columns(self, grid4):
         f = np.stack([np.ones(4), 2 * np.ones(4)], axis=1)
         np.testing.assert_allclose(integrate(grid4, f), [1.0, 2.0])
+
+
+def test_import_loads_no_sparse_module():
+    # the child imports the same msdiff as this process
+    src = str(Path(msdiff.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import msdiff; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

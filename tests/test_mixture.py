@@ -633,33 +633,9 @@ class TestProductionLaws:
         with pytest.raises(WrongSpeciesCount):
             production_rates(law, np.array([0.2, 0.3, 0.5]))
 
-    def test_custom_law_wraps_callable(self):
-        law = ProductionLaw.custom(np.zeros_like, n_species=3)
-        assert law.entropy_sign_ok
-        r = production_rates(law, np.array([0.2, 0.3, 0.5]))
-        assert r.shape == (3,) and np.all(r == 0.0)
-
-    def test_custom_law_bad_shape_rejected(self):
+    def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidProductionLaw):
-            ProductionLaw.custom(lambda c: c[..., :2], n_species=3)
-
-    def test_custom_law_nonconservative_rejected(self):
-        with pytest.raises(InvalidProductionLaw):
-            ProductionLaw.custom(lambda c: np.ones_like(c), n_species=3)
-
-    def test_custom_law_sign_violation_warns_and_records_bound(self):
-        # rates pushing mass toward species 1 raise entropy when c_1 is
-        # large; the sampled worst case must land in entropy_bound
-        def uphill(c):
-            r = np.zeros_like(c)
-            r[..., 0] = 0.5
-            r[..., 1] = -0.5
-            return r
-
-        with pytest.warns(UserWarning, match="entropy sign"):
-            law = ProductionLaw.custom(uphill, n_species=3)
-        assert not law.entropy_sign_ok
-        assert law.entropy_bound > 0.0
+            production_rates(ProductionLaw(kind="fission"), np.array([0.2, 0.3, 0.5]))
 
     def test_field_evaluation(self):
         law = ProductionLaw.quaternary_reversible()

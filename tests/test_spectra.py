@@ -63,13 +63,6 @@ class TestFrictionCertificate:
         assert report.delta == pytest.approx(1.0 / 3.0)
         assert report.Delta == pytest.approx(22.0 / 3.0)
 
-    def test_zero_tol_uses_kernel_vector(self):
-        # with tol=0 magnitude thresholds are useless; the certificate falls
-        # back to the exact algebraic kernel A c = 0
-        spec = equal_d_spec(3, d=1.0)
-        report = certify_friction_spectrum(spec, np.array([0.25, 0.25]), tol=0.0)
-        assert report.zero_multiplicity == 1
-
     def test_report_is_frozen_view(self):
         report = certify_friction_spectrum(ternary_123_spec(), np.array([0.2, 0.3]))
         assert isinstance(report, SpectrumReport)
