@@ -198,11 +198,6 @@ def config_from_pairs(pairs: list[tuple[str, str]]) -> RunConfig:
     return RunConfig(**typed)
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse one configuration document into a validated RunConfig."""
-    return config_from_pairs(scan_config_lines(text))
-
-
 def materialize_spec(config: RunConfig) -> MixtureSpec:
     """Build just the mixture description of a configuration."""
     if config.production == "quaternary_reversible":

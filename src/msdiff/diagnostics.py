@@ -32,7 +32,6 @@ from .mixture import (
     _entropy_density,
     _inverse_friction,
     _require_admissible,
-    _require_strict,
 )
 
 
@@ -182,15 +181,20 @@ def reconstruct_fluxes(
     residual is the largest violation of the pairwise friction relations
     ``grad c_i = -sum_j (c_j J_i - c_i J_j) / D_ij`` relative to the gradient
     scale, and should sit at rounding level for any admissible field.
+
+    The fluxes are defined on the closed simplex: A0 is invertible there and
+    nothing divides by a fraction, so the field is checked against the
+    solver's own floor (``InadmissibleState`` outside the simplex) and a
+    species that vanishes somewhere is no error.
     """
-    c = _require_strict(c)
+    c = _require_admissible(c)
     if c.shape[0] != grid.cells:
         raise DimensionMismatch("concentration field rows must match cells")
     h = grid.h
     n1 = spec.n_species
     c_face = 0.5 * (c[:-1] + c[1:])
     g_red = (c[1:] - c[:-1]) / h
-    # averages of strict states are strict: no second check
+    # averages of admissible states are admissible: no second check
     alpha = _inverse_friction(spec, c_face)
     J_red = -np.einsum("mij,mj->mi", alpha, g_red)
     J = np.zeros((grid.cells + 1, n1))
@@ -250,19 +254,23 @@ def audit_step(
     slack: float,
     prev_record: DiagnosticsRecord,
     new_record: DiagnosticsRecord,
-    c_new: np.ndarray,
     w_new: np.ndarray,
+    *,
     production_integral: np.ndarray | None = None,
 ) -> AuditVerdict:
     """Check one accepted step against the scheme's proved inequalities.
 
+    ``new_record`` and ``w_new`` are the one description of the new state:
+    the record reads all N+1 fractions the solver computed from ``w_new``,
+    the last one included.
     Entropy: the new entropy plus the dissipation lower bound and the
     regularization payments must not exceed the previous entropy beyond
     ``slack``; production adds nothing to that budget, because both laws
     meet the entropy sign condition exactly.  Mass: the per-species change
     must match the exact balance ``-eps * tau * integral(w) +
     tau * integral(r)`` to 1e-10.
-    Bounds: strict positivity of every fraction, including the implied one.
+    Bounds: every fraction, the implied one included, is positive, read
+    as ``new_record.min_c > 0``.
     Dissipation: the raw form dominates the square-root form (tol 1e-9).
     The regularization payment applies the Neumann Laplacian as its O(M)
     stencil ``divergence(face_gradient(.))``.
@@ -285,7 +293,7 @@ def audit_step(
         - tau * production_integral
     )
     mass_margin = 1e-10 - float(np.max(np.abs(defect)))
-    bounds_margin = float(np.min(full_concentrations(c_new)))
+    bounds_margin = new_record.min_c
     dissipation_margin = (
         new_record.dissipation_raw
         - 4.0 * new_record.dissipation_sqrt / spec.Delta

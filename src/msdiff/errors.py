@@ -46,7 +46,7 @@ class WrongSpeciesCount(MsdiffError):
 
 
 class InvalidProductionLaw(MsdiffError):
-    """Custom production law fails the zero-total-mass check."""
+    """Production law of an unknown ``kind``."""
 
 
 # ---------------------------------------------------------------------------

@@ -69,36 +69,21 @@ def divergence(grid: Grid1D, flux: np.ndarray) -> np.ndarray:
     return (flux[1:] - flux[:-1]) / grid.h
 
 
-def _laplacian_bands(grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
-    """Main and first off-diagonal of the (symmetric) Neumann Laplacian."""
-    main = np.full(grid.cells, -2.0)
-    main[0] = -1.0
-    main[-1] = -1.0
-    return main / grid.h**2, np.ones(grid.cells - 1) / grid.h**2
-
-
-def neumann_laplacian(grid: Grid1D) -> np.ndarray:
-    """Dense matrix of ``divergence(face_gradient(.))``.
-
-    Symmetric, negative semidefinite, with constants in its kernel; the
-    first and last diagonal entries are ``-1/h^2`` because the wall faces
-    carry no flux.
-    """
-    d, e = _laplacian_bands(grid)
-    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-
-
 def laplacian_squared_lower_bands(grid: Grid1D) -> tuple[np.ndarray, ...]:
     """Lower diagonals (offsets 0, 1, 2) of the squared Neumann Laplacian.
 
-    The square is pentadiagonal and symmetric, so these three bands define
-    it; the implicit stepper assembles its fourth-order regularization term
-    from them directly in banded storage.  The diagonal sums its terms in
-    column order, ``(e[m-1]**2 + d[m]**2) + e[m]**2``, the order of a sparse
-    row-times-column product, so the bands are bitwise those of
-    ``scipy.sparse``'s ``L @ L``.
+    The Laplacian L is the matrix of ``divergence(face_gradient(.))``: main
+    diagonal d with ``-2/h^2`` inside and ``-1/h^2`` at the two walls, off
+    diagonals e of ``1/h^2``.  The square is pentadiagonal and symmetric,
+    so these three bands define it; the implicit stepper assembles its
+    fourth-order regularization term from them directly in banded storage.
+    The diagonal sums its terms in column order, ``(e[m-1]**2 + d[m]**2) +
+    e[m]**2``, the order of a sparse row-times-column product, so the bands
+    are bitwise those of ``scipy.sparse``'s ``L @ L``.
     """
-    d, e = _laplacian_bands(grid)
+    d = np.full(grid.cells, -2.0 / grid.h**2)
+    d[[0, -1]] = -1.0 / grid.h**2
+    e = np.full(grid.cells - 1, 1.0 / grid.h**2)
     l0 = d * d
     l0[1:] = e * e + l0[1:]
     l0[:-1] += e * e

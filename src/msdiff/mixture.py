@@ -5,6 +5,9 @@ Vocabulary used throughout the package:
 - ``c``: reduced vector of molar fractions ``(c_1, ..., c_N)`` of the first
   N species; the final species is implied, ``c_last = 1 - sum(c)``.  State
   arrays may carry leading batch axes (one state per grid cell).
+- ``cf``: all N+1 fractions.  Of a state ``w`` the last one is computed
+  from ``w`` (``_w_to_cf``) and stays positive where ``1 - sum(c)``
+  (``full_concentrations``) rounds to 0.0, below about 1e-16.
 - ``w``: entropy variables ``w_i = log(c_i / c_last)``.  They are the
   gradient of the mixture entropy density, and parametrize the open
   composition simplex by all of R^N, which is what keeps the time stepper
@@ -21,15 +24,15 @@ whose determinant is linear in c and at least ``delta**2`` on the closed
 simplex; a LAPACK call per 2x2 matrix costs far more.  More species use
 LAPACK's batched inverse.
 
-The per-state kernels that every solver iterate runs (``w_to_c``,
-``full_concentrations``, the admissibility checks and the ternary Hessian
-inverse) loop over the N species columns ``x[..., i]`` instead of reducing
-or broadcasting along the trailing axis: that axis is only N long, and
-numpy would run one tiny inner loop per cell, while each column operation
-covers all cells at once.  The species sums are added left to right from
-0.0, which is numpy's own order for up to 7 terms, so the results are
-bitwise those of ``np.sum(axis=-1)`` there; from 8 terms on numpy sums
-pairwise and the two differ by a few ulps.
+The per-state kernels that every solver iterate runs (``_w_to_cf``, the
+admissibility checks and the ternary Hessian inverse) loop over the N
+species columns ``x[..., i]`` instead of reducing or broadcasting along the
+trailing axis: that axis is only N long, and numpy would run one tiny
+inner loop per cell, while each column operation covers all cells at once.
+The species sums are added left to right from 0.0, which is numpy's own
+order for up to 7 terms, so the results are bitwise those of
+``np.sum(axis=-1)`` there; from 8 terms on numpy sums pairwise and the two
+differ by a few ulps.
 """
 
 from __future__ import annotations
@@ -480,18 +483,28 @@ def w_to_c(w: np.ndarray) -> np.ndarray:
     finite ``w`` maps into the simplex; components whose exponentials
     underflow saturate at 0/1 in floating point.
     """
-    w = np.asarray(w, dtype=float)
-    species = range(w.shape[-1])
+    return _w_to_cf(np.asarray(w, dtype=float))[..., :-1]
+
+
+def _w_to_cf(w: np.ndarray) -> np.ndarray:
+    """All N+1 fractions of the float field ``w`` over one shared denominator.
+
+    The first N columns are ``w_to_c(w)``; the last is ``1 / (1 + sum_j
+    exp(w_j))`` itself, not ``1 - sum(c)``, so it stays positive where that
+    difference rounds to 0.0 (below about 1e-16).
+    """
+    n = w.shape[-1]
     shift = np.maximum(w[..., 0], 0.0)
-    for i in species[1:]:
+    for i in range(1, n):
         shift = np.maximum(shift, w[..., i])
-    e = np.empty(w.shape)
-    for i in species:
-        e[..., i] = np.exp(w[..., i] - shift)
-    denom = np.exp(-shift) + _species_sum(e)
-    for i in species:
-        e[..., i] /= denom
-    return e
+    cf = np.empty(w.shape[:-1] + (n + 1,))
+    for i in range(n):
+        cf[..., i] = np.exp(w[..., i] - shift)
+    cf[..., n] = np.exp(-shift)
+    denom = cf[..., n] + _species_sum(cf[..., :n])
+    for i in range(n + 1):
+        cf[..., i] /= denom
+    return cf
 
 
 def c_to_w(c: np.ndarray) -> np.ndarray:

@@ -67,11 +67,11 @@ from .mixture import (
     full_concentrations,
     mobility_matrix,
     production_rates,
-    w_to_c,
     _hessian_inverse,
     _mobility,
     _require_admissible,
     _require_strict,
+    _w_to_cf,
 )
 
 # With final_polish on, the increment exit is lowered to this rounding level
@@ -127,9 +127,11 @@ class SchemeParams:
 class _State:
     """One fixed-point iterate ``w``, evaluated once.
 
-    Holds ``c = w_to_c(w)``, all N+1 fractions ``cf``, the entropy Hessian
-    inverse, the mobility ``B`` and the production rates ``r`` of the first
-    N species, every array read-only so no consumer can make them disagree.
+    Holds all N+1 fractions ``cf`` of ``w``, the last one computed from
+    ``w`` and not as ``1 - sum(c)``, their first N columns ``c = w_to_c(w)``,
+    the entropy Hessian inverse, the mobility ``B`` and the production rates
+    ``r`` of the first N species, every array read-only so no consumer can
+    make them disagree.  The record, the audit and the hooks read these.
     """
 
     w: np.ndarray
@@ -142,8 +144,8 @@ class _State:
 
 def _evaluate(spec: MixtureSpec, w: np.ndarray) -> _State:
     """Evaluate the iterate ``w``; its fractions are checked here, once."""
-    c = _require_admissible(w_to_c(w))
-    cf = full_concentrations(c)
+    cf = _w_to_cf(w)
+    c = _require_admissible(cf[..., :-1])  # also rejects a NaN field
     hinv = _hessian_inverse(c)
     state = _State(
         w=w,
@@ -601,8 +603,7 @@ def run_simulation(
         result.production_time_integral += tau_k * r_int
         if audit_mode != "off":
             verdict = audit_step(
-                spec, grid, tau_k, params.eps, slack,
-                record, new_record, c_new, w_new,
+                spec, grid, tau_k, params.eps, slack, record, new_record, w_new,
                 production_integral=r_int,
             )
             result.verdicts.append(verdict)

@@ -338,21 +338,44 @@ class TestCertifyCommand:
         ).read_bytes()
 
 
+def run_module(*args):
+    """``python -m msdiff.cli *args`` in a child process.
+
+    The child imports the same msdiff as this process, whatever PYTHONPATH
+    the suite was started with.
+    """
+    src = str(Path(msdiff.cli.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([src, inherited] if inherited else [src]),
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "msdiff.cli", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+
+
 class TestConsoleEntry:
     def test_module_invocation(self, tmp_path):
-        # the child imports the same msdiff as this process, whatever
-        # PYTHONPATH the suite was started with
-        src = str(Path(msdiff.cli.__file__).resolve().parents[1])
-        inherited = os.environ.get("PYTHONPATH")
-        env = dict(
-            os.environ,
-            PYTHONPATH=os.pathsep.join([src, inherited] if inherited else [src]),
-        )
-        proc = subprocess.run(
-            [sys.executable, "-m", "msdiff.cli", "presets"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+        proc = run_module("presets")
         assert proc.returncode == 0
         assert "heat_check" in proc.stdout
+
+    def test_rough_run_passes_bounds_audit_and_flux_hook(self, tmp_path):
+        # nine step halvings leave step 2 with a third fraction of 7e-20: the
+        # bounds audit reads it from w, and the flux hook accepts the state
+        proc = run_module(
+            "run", "--preset", "ternary_uphill",
+            "--override", "cells=64",
+            "--override", "picard_max=11",
+            "--override", "t_end=3.5e-3",
+            "--output-dir", str(tmp_path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        summary = json.loads((tmp_path / "run_summary.json").read_text())
+        assert summary["audits_passed"] is True
+        assert summary["audit_margins"]["bounds_min"] > 0.0

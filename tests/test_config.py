@@ -12,11 +12,15 @@ from msdiff import (
     config_from_pairs,
     materialize,
     materialize_spec,
-    parse_config,
     scan_config_lines,
 )
 
 MINIMAL = "species=3\nD=1,2,3\ncells=64\ntau=1e-3\nt_end=1.0"
+
+
+def parse(text):
+    """A configuration document as ``msdiff run`` reads it."""
+    return config_from_pairs(scan_config_lines(text))
 
 
 class TestScanLines:
@@ -42,7 +46,7 @@ class TestScanLines:
 
 class TestParseConfig:
     def test_minimal_document(self):
-        config = parse_config(MINIMAL)
+        config = parse(MINIMAL)
         assert config.species == 3
         assert config.d_upper == (1.0, 2.0, 3.0)
         assert config.cells == 64
@@ -53,33 +57,33 @@ class TestParseConfig:
 
     def test_missing_species_rejected(self):
         with pytest.raises(ValidationError) as info:
-            parse_config("D=1,2,3\ntau=1e-3")
+            parse("D=1,2,3\ntau=1e-3")
         assert info.value.key == "species"
 
     def test_missing_d_rejected(self):
         with pytest.raises(ValidationError) as info:
-            parse_config("species=3\ntau=1e-3")
+            parse("species=3\ntau=1e-3")
         assert info.value.key == "D"
 
     def test_negative_tau_rejected(self):
         with pytest.raises(ValidationError) as info:
-            parse_config(MINIMAL + "\ntau=-1")
+            parse(MINIMAL + "\ntau=-1")
         assert info.value.key == "tau"
         assert "positive" in info.value.reason
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError) as info:
-            parse_config(MINIMAL + "\nspeed=11")
+            parse(MINIMAL + "\nspeed=11")
         assert info.value.key == "speed"
 
     def test_wrong_d_count_rejected(self):
         with pytest.raises(ValidationError) as info:
-            parse_config("species=4\nD=1,2,3")
+            parse("species=4\nD=1,2,3")
         assert info.value.key == "D"
         assert "6" in info.value.reason
 
     def test_last_value_wins(self):
-        config = parse_config(MINIMAL + "\ncells=32\ncells=16")
+        config = parse(MINIMAL + "\ncells=32\ncells=16")
         assert config.cells == 16
 
     @pytest.mark.parametrize(
@@ -101,17 +105,17 @@ class TestParseConfig:
     )
     def test_per_key_validation(self, line, key):
         with pytest.raises(ValidationError) as info:
-            parse_config(MINIMAL + "\n" + line)
+            parse(MINIMAL + "\n" + line)
         assert info.value.key == key
 
     def test_bool_keys(self):
-        config = parse_config(MINIMAL + "\nemit_audit_json=false\nemit_timeseries=true")
+        config = parse(MINIMAL + "\nemit_audit_json=false\nemit_timeseries=true")
         assert config.emit_audit_json is False
         assert config.emit_timeseries is True
 
     def test_quaternary_law_needs_five_species(self):
         with pytest.raises(ValidationError) as info:
-            parse_config("species=3\nD=1,2,3\nproduction=quaternary_reversible")
+            parse("species=3\nD=1,2,3\nproduction=quaternary_reversible")
         assert info.value.key == "production"
 
 
@@ -145,21 +149,21 @@ class TestScenarioLayering:
 
 class TestMaterialize:
     def test_spec_matches_document(self):
-        spec = materialize_spec(parse_config(MINIMAL))
+        spec = materialize_spec(parse(MINIMAL))
         assert spec.n_species == 3
         assert spec.D[0, 1] == 1.0 and spec.D[0, 2] == 2.0 and spec.D[1, 2] == 3.0
         assert spec.delta == pytest.approx(1.0 / 3.0)
         assert spec.production.kind == "zero"
 
     def test_full_materialization(self):
-        spec, grid, params, c0 = materialize(parse_config(MINIMAL))
+        spec, grid, params, c0 = materialize(parse(MINIMAL))
         assert isinstance(grid, Grid1D) and grid.cells == 64
         assert isinstance(params, SchemeParams) and params.tau == 1e-3
         assert c0.shape == (64, 2)
         np.testing.assert_allclose(c0, 1 / 3)
 
     def test_simulation_needs_time_keys(self):
-        config = parse_config("species=3\nD=1,2,3")
+        config = parse("species=3\nD=1,2,3")
         with pytest.raises(ValidationError) as info:
             materialize(config)
         assert info.value.key == "tau"
@@ -171,7 +175,7 @@ class TestMaterialize:
         assert spec.n_species == 5
 
     def test_config_is_frozen(self):
-        config = parse_config(MINIMAL)
+        config = parse(MINIMAL)
         assert isinstance(config, RunConfig)
         with pytest.raises(AttributeError):
             config.cells = 31

@@ -16,7 +16,6 @@ from msdiff import (
     InsufficientData,
     MixtureSpec,
     NonPositiveEntropy,
-    NotStrictlyAdmissible,
     ProductionLaw,
     audit_step,
     c_to_w,
@@ -30,7 +29,6 @@ from msdiff import (
     integrate,
     materialize,
     mobility_matrix,
-    neumann_laplacian,
     production_rates,
     reconstruct_fluxes,
     relative_entropy,
@@ -38,6 +36,9 @@ from msdiff import (
     solver_slack,
     w_to_c,
 )
+from msdiff.diagnostics import _dissipation, _entropy, _relative_entropy
+from msdiff.mixture import _w_to_cf
+from test_grid import dense_laplacian
 from test_mixture import equal_d_spec, ternary_123_spec
 
 
@@ -228,12 +229,24 @@ class TestReconstructFluxes:
         _, resid = reconstruct_fluxes(spec, grid, c)
         assert resid <= 1e-10
 
-    def test_rejects_boundary_states(self):
+    def test_vanished_implied_species_gives_finite_fluxes(self):
+        # fluxes are defined on the closed simplex: A0 stays invertible and
+        # nothing divides by a fraction
+        grid = Grid1D(1.0, 16)
+        spec = ternary_123_spec()
+        c1 = 0.2 + 0.6 * grid.centers
+        c = np.stack([c1, 1.0 - c1], axis=1)  # implied species identically 0
+        J, resid = reconstruct_fluxes(spec, grid, c)
+        assert np.isfinite(J).all() and np.any(J != 0.0)
+        assert resid <= 1e-14
+
+    def test_rejects_states_outside_simplex(self):
         grid = Grid1D(1.0, 4)
         spec = ternary_123_spec()
-        c = np.tile([0.5, 0.5], (4, 1))  # implied species identically zero
-        with pytest.raises(NotStrictlyAdmissible):
-            reconstruct_fluxes(spec, grid, c)
+        with pytest.raises(InadmissibleState):
+            reconstruct_fluxes(spec, grid, np.tile([0.7, 0.4], (4, 1)))
+        with pytest.raises(InadmissibleState):
+            reconstruct_fluxes(spec, grid, np.tile([-1e-9, 0.5], (4, 1)))
 
 
 def exponential_records(rate=2.0, n=40, t_end=2.0, noise=0.0, seed=0):
@@ -337,7 +350,7 @@ class TestAuditStep:
     def test_equilibrium_passes_with_tolerance_margins(self):
         spec, grid, prev, new, c, w = self.equilibrium_pair()
         slack = solver_slack(1e-10, 2, 8)
-        verdict = audit_step(spec, grid, 1e-3, 1e-8, slack, prev, new, c, w)
+        verdict = audit_step(spec, grid, 1e-3, 1e-8, slack, prev, new, w)
         assert verdict.passed
         # nothing moved, so each margin sits exactly at its granted slack
         assert verdict.entropy_margin == pytest.approx(slack, rel=1e-6)
@@ -358,7 +371,7 @@ class TestAuditStep:
             picard_iterations=1,
         )
         slack = solver_slack(1e-10, 2, 8)
-        verdict = audit_step(spec, grid, 1e-3, 1e-8, slack, prev, corrupted, c, w)
+        verdict = audit_step(spec, grid, 1e-3, 1e-8, slack, prev, corrupted, w)
         assert not verdict.entropy_ok
         assert verdict.entropy_margin == pytest.approx(-1.0, abs=1e-4)
         assert not verdict.passed
@@ -377,7 +390,7 @@ class TestAuditStep:
             picard_iterations=1,
         )
         slack = solver_slack(1e-10, 2, 8)
-        verdict = audit_step(spec, grid, 1e-3, 1e-8, slack, prev, shifted, c, w)
+        verdict = audit_step(spec, grid, 1e-3, 1e-8, slack, prev, shifted, w)
         assert not verdict.mass_ok and not verdict.passed
 
     def test_production_integral_enters_mass_balance(self):
@@ -404,9 +417,9 @@ class TestAuditStep:
         )
         slack = solver_slack(1e-10, 2, 8)
         with_r = audit_step(
-            spec, grid, tau, 0.0, slack, prev, new, c, w, production_integral=r_int
+            spec, grid, tau, 0.0, slack, prev, new, w, production_integral=r_int
         )
-        without_r = audit_step(spec, grid, tau, 0.0, slack, prev, new, c, w)
+        without_r = audit_step(spec, grid, tau, 0.0, slack, prev, new, w)
         assert with_r.mass_ok
         assert not without_r.mass_ok
 
@@ -420,7 +433,7 @@ class TestAuditStep:
         prev = make_record(grid, spec, 0.0, c, w)
         new = make_record(grid, spec, 1e-3, c, w)
         slack = solver_slack(1e-10, 2, 8)
-        verdict = audit_step(spec, grid, 1e-3, 1.0, slack, prev, new, c, w)
+        verdict = audit_step(spec, grid, 1e-3, 1.0, slack, prev, new, w)
         assert not verdict.entropy_ok
 
     def test_stencil_matches_dense_laplacian_reference(self):
@@ -434,8 +447,8 @@ class TestAuditStep:
         prev = make_record(grid, spec, 0.0, c, w)
         new = make_record(grid, spec, 1e-3, c, w)
         tau, eps, slack = 1e-3, 1.0, solver_slack(1e-10, 2, 16)
-        verdict = audit_step(spec, grid, tau, eps, slack, prev, new, c, w)
-        L = neumann_laplacian(grid)
+        verdict = audit_step(spec, grid, tau, eps, slack, prev, new, w)
+        L = dense_laplacian(grid)
         payment = eps * tau * float(
             integrate(grid, np.sum((L @ w) ** 2 + w**2, axis=-1))
         )
@@ -449,7 +462,8 @@ class TestAuditStep:
 class TestCarriedEvaluation:
     def test_run_records_match_public_diagnostics_bitwise(self, monkeypatch):
         # the solver's evaluation of each accepted state feeds the record;
-        # it must agree to the last bit with the public checked functions
+        # its first N fractions agree to the last bit with the public checked
+        # functions, and the record reads all N+1 through the private kernels
         steps = []
         advance = msdiff.stepper.advance_step
 
@@ -469,7 +483,7 @@ class TestCarriedEvaluation:
         for step, record in zip(steps, result.records[1:]):
             state = step.state
             c = w_to_c(step.w)
-            cf = full_concentrations(c)
+            cf = _w_to_cf(step.w)
             assert state.w is step.w
             assert np.array_equal(state.c, c)
             assert np.array_equal(state.cf, cf)
@@ -478,12 +492,12 @@ class TestCarriedEvaluation:
             assert np.array_equal(
                 state.r, production_rates(spec.production, cf)[:, :n]
             )
-            raw, sqrt_form = dissipation(spec, grid, c, step.w, enforce=False)
+            raw, sqrt_form = _dissipation(grid, state.B, cf, step.w)
             assert record.dissipation_raw == raw
             assert record.dissipation_sqrt == sqrt_form
-            assert record.entropy == entropy_functional(grid, c)
-            assert record.relative_entropy == relative_entropy(
-                grid, c, result.reference
+            assert record.entropy == _entropy(grid, cf)
+            assert record.relative_entropy == _relative_entropy(
+                grid, cf, result.reference
             )
             assert np.array_equal(record.masses, integrate(grid, cf))
             assert record.min_c == float(np.min(cf))

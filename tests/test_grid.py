@@ -17,8 +17,15 @@ from msdiff import (
     face_gradient,
     integrate,
     laplacian_squared_lower_bands,
-    neumann_laplacian,
 )
+
+
+def dense_laplacian(grid):
+    """Dense Neumann Laplacian: the matrix of divergence(face_gradient(.))."""
+    main = np.full(grid.cells, -2.0)
+    main[0] = main[-1] = -1.0
+    off = np.ones(grid.cells - 1)
+    return (np.diag(main) + np.diag(off, 1) + np.diag(off, -1)) / grid.h**2
 
 
 @pytest.fixture
@@ -77,31 +84,31 @@ class TestDivergence:
         rng = np.random.default_rng(4)
         f = rng.normal(size=(8, 1))
         lhs = divergence(grid, face_gradient(grid, f))
-        rhs = neumann_laplacian(grid) @ f
+        rhs = dense_laplacian(grid) @ f
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 class TestNeumannLaplacian:
     def test_three_cell_stencil(self):
         grid = Grid1D(length=3.0, cells=3)  # h = 1
-        L = neumann_laplacian(grid)
+        L = dense_laplacian(grid)
         expected = np.array([[-1.0, 1, 0], [1, -2, 1], [0, 1, -1]])
         np.testing.assert_allclose(L, expected, atol=1e-15)
 
     def test_constant_in_kernel(self):
         grid = Grid1D(length=1.0, cells=17)
-        L = neumann_laplacian(grid)
+        L = dense_laplacian(grid)
         assert np.max(np.abs(L @ np.ones(17))) <= 1e-10
 
     def test_three_cell_spectrum(self):
         # char poly of -h^2 L: lambda(lambda - 1)(lambda - 3)
         grid = Grid1D(length=3.0, cells=3)
-        vals = np.sort(np.linalg.eigvalsh(-neumann_laplacian(grid)))
+        vals = np.sort(np.linalg.eigvalsh(-dense_laplacian(grid)))
         np.testing.assert_allclose(vals, [0.0, 1.0, 3.0], atol=1e-12)
 
     def test_symmetric_negative_semidefinite(self):
         grid = Grid1D(length=1.5, cells=12)
-        L = neumann_laplacian(grid)
+        L = dense_laplacian(grid)
         assert np.max(np.abs(L - L.T)) == 0.0
         assert np.linalg.eigvalsh(L)[-1] <= 1e-12
 
@@ -112,7 +119,7 @@ class TestNeumannLaplacian:
         rng = np.random.default_rng(8)
         u = rng.normal(size=(9, 1))
         v = rng.normal(size=(9, 1))
-        L = neumann_laplacian(grid)
+        L = dense_laplacian(grid)
         lhs = grid.h * float(u[:, 0] @ (L @ v[:, 0]))
         gu = face_gradient(grid, u)[:, 0]
         gv = face_gradient(grid, v)[:, 0]
@@ -123,7 +130,7 @@ class TestNeumannLaplacian:
 class TestLaplacianSquaredBands:
     def test_matches_dense_square(self):
         grid = Grid1D(length=1.0, cells=7)
-        L = neumann_laplacian(grid)
+        L = dense_laplacian(grid)
         L2 = L @ L
         d0, d1, d2 = laplacian_squared_lower_bands(grid)
         np.testing.assert_allclose(d0, np.diag(L2), rtol=1e-13)
@@ -147,11 +154,11 @@ class TestLaplacianSquaredBands:
             assert band.dtype == ref.dtype
             assert np.array_equal(band, ref)
         if cells <= 1000:
-            assert np.array_equal(neumann_laplacian(grid), L.toarray())
+            assert np.array_equal(dense_laplacian(grid), L.toarray())
 
     def test_positive_semidefinite_quadratic_form(self):
         grid = Grid1D(length=1.0, cells=7)
-        L = neumann_laplacian(grid)
+        L = dense_laplacian(grid)
         rng = np.random.default_rng(16)
         x = rng.normal(size=7)
         assert float(x @ (L @ L) @ x) >= 0.0

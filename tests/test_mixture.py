@@ -48,6 +48,7 @@ from msdiff.mixture import (
     _mobility,
     _require_admissible,
     _require_strict,
+    _w_to_cf,
 )
 
 
@@ -413,6 +414,12 @@ def ref_w_to_c(w):
     return e / (np.exp(-shift) + np.sum(e, axis=-1, keepdims=True))
 
 
+def ref_w_to_cf(w):
+    shift = np.maximum(np.max(w, axis=-1, keepdims=True), 0.0)
+    e = np.concatenate([np.exp(w - shift), np.exp(-shift)], axis=-1)
+    return e / (np.exp(-shift) + np.sum(e[..., :-1], axis=-1, keepdims=True))
+
+
 def ref_full_concentrations(c):
     return np.concatenate([c, 1.0 - np.sum(c, axis=-1, keepdims=True)], axis=-1)
 
@@ -475,6 +482,7 @@ class TestSpeciesColumnKernels:
     def test_bitwise_equal_to_trailing_axis_reductions(self, w, seed):
         c = ref_w_to_c(w)
         assert bitwise_equal(w_to_c(w), c)
+        assert bitwise_equal(_w_to_cf(w), ref_w_to_cf(w))
         assert bitwise_equal(full_concentrations(c), ref_full_concentrations(c))
         # nudged states straddle every admissibility threshold
         rng = np.random.default_rng(seed)
@@ -550,6 +558,23 @@ class TestTransforms:
         assert np.all(np.isfinite(c))
         assert np.all(c >= 0.0)
         assert np.all(c.sum(axis=1) <= 1.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_w_to_cf_carries_the_last_fraction_from_w(self, n):
+        # at |w| of about 40 the last fraction 1 / (1 + sum exp(w)) is below
+        # 1e-16: 1 - sum(c) rounds it to 0.0, the shared denominator keeps it
+        rng = np.random.default_rng(43 + n)
+        w = rng.normal(scale=3.0, size=(64, n))
+        w[:32, 0] = 40.0 + rng.uniform(0.0, 5.0, size=32)
+        w[:32, 1:] = -np.abs(w[:32, 1:])  # c_1 rounds to 1, the rest vanish
+        cf = _w_to_cf(w)
+        assert bitwise_equal(cf[:, :-1], w_to_c(w))
+        assert bitwise_equal(cf[:, :-1], ref_w_to_c(w))
+        lost = full_concentrations(w_to_c(w))[:, -1] == 0.0
+        assert lost[:32].all()
+        assert np.all(cf[:, -1] > 0.0)
+        exact = np.exp(-np.logaddexp.reduce(np.c_[np.zeros(64), w], axis=-1))
+        np.testing.assert_allclose(cf[:, -1], exact, rtol=1e-13)
 
     def test_c_to_w_rejects_boundary(self):
         with pytest.raises(NotStrictlyAdmissible):
