@@ -39,7 +39,13 @@ from .errors import (
     ValidationError,
 )
 from .grid import Grid1D, integrate
-from .mixture import MixtureSpec, c_to_w, full_concentrations, mobility_matrix
+from .mixture import (
+    MixtureSpec,
+    c_to_w,
+    full_concentrations,
+    mobility_matrix,
+    _w_to_cf,
+)
 from .scenarios import PRESETS, heat_analytic
 from .spectra import certify_friction_spectrum, certify_reduced_spectrum
 from .stepper import SimulationResult, regularize_initial, run_simulation
@@ -77,6 +83,8 @@ class RunCollector:
     written on the configured cadence.  The distance bound compares each
     species' L1 distance from the reference composition against the
     square root of twice the domain length times the relative entropy.
+    Snapshots and those distances read the N+1 fractions the solver
+    computed from w, as the relative entropy does.
     """
 
     def __init__(
@@ -100,7 +108,7 @@ class RunCollector:
         self.snapshots: list[str] = []
         self.last_snapshot_step = -1
 
-    def write_snapshot(self, k: int, c: np.ndarray, w: np.ndarray) -> None:
+    def write_snapshot(self, k: int, cf: np.ndarray, w: np.ndarray) -> None:
         if self.out_dir is None:
             return
         n1 = self.spec.n_species
@@ -111,7 +119,6 @@ class RunCollector:
             + ","
             + ",".join(f"w_{i + 1}" for i in range(n))
         )
-        cf = full_concentrations(c)
         lines = [header]
         for m, x in enumerate(self.grid.centers):
             parts = [_f(x)]
@@ -123,8 +130,9 @@ class RunCollector:
         self.snapshots.append(path.name)
         self.last_snapshot_step = k
 
-    def __call__(self, k, t, c, w, record) -> None:
+    def __call__(self, k, t, cf, w, record) -> None:
         self.picard_total += record.picard_iterations
+        c = cf[:, :-1]
         J, resid = reconstruct_fluxes(self.spec, self.grid, c)
         self.flux_residual_max = max(self.flux_residual_max, resid)
         g_red = (c[1:] - c[:-1]) / self.grid.h
@@ -135,7 +143,6 @@ class RunCollector:
             self.uphill_max = max(
                 self.uphill_max, float(np.max(J[1:-1] * g_full))
             )
-        cf = full_concentrations(c)
         l1 = self.grid.h * np.sum(np.abs(cf - self.reference), axis=0)
         bound = np.sqrt(2.0 * self.grid.length * max(record.relative_entropy, 0.0))
         margin = float(bound - np.max(l1))
@@ -143,7 +150,7 @@ class RunCollector:
         if margin < -1e-12:
             self.pinsker_ok = False
         if self.snapshot_every > 0 and k % self.snapshot_every == 0:
-            self.write_snapshot(k, c, w)
+            self.write_snapshot(k, cf, w)
 
 
 def _write_timeseries(path: Path, records) -> None:
@@ -285,7 +292,9 @@ def run_scenario(config: RunConfig) -> int:
         spec, grid, reference, snap_dir, config.snapshot_every
     )
     if snap_dir is not None:
-        collector.write_snapshot(0, c_start, c_to_w(c_start))
+        collector.write_snapshot(
+            0, full_concentrations(c_start), c_to_w(c_start)
+        )
     exit_code = 0
     abort = None
     try:
@@ -312,7 +321,7 @@ def run_scenario(config: RunConfig) -> int:
         and result.steps > 0
         and collector.last_snapshot_step != result.steps
     ):
-        collector.write_snapshot(result.steps, result.c, result.w)
+        collector.write_snapshot(result.steps, _w_to_cf(result.w), result.w)
     written = []
     if config.emit_timeseries and result.records:
         path = out / "timeseries.csv"

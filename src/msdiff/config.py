@@ -40,7 +40,6 @@ class RunConfig:
     eps: float = 1e-8
     picard_tol: float = 1e-10
     picard_max: int = 200
-    damping_theta: float = 1.0
     eta_floor: float = 1e-8
     initial: str = "uniform"
     scenario: str | None = None
@@ -105,11 +104,6 @@ _KEYS = {
     "eps": (_parse_float, lambda v: v >= 0.0, "must be nonnegative"),
     "picard_tol": (_parse_float, lambda v: v > 0.0, "must be positive"),
     "picard_max": (_parse_int, lambda v: v >= 1, "must be at least 1"),
-    "damping_theta": (
-        _parse_float,
-        lambda v: 0.0 < v <= 1.0,
-        "must lie in (0, 1]",
-    ),
     "eta_floor": (_parse_float, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
     "initial": (lambda k, v: v, None, ""),
     "scenario": (lambda k, v: v, None, ""),
@@ -226,7 +220,6 @@ def materialize(
         eps=config.eps,
         picard_tol=config.picard_tol,
         picard_max=config.picard_max,
-        damping_theta=config.damping_theta,
         eta_floor=config.eta_floor,
     )
     c0 = build_initial(grid, spec.n_reduced, config.initial)

@@ -70,9 +70,11 @@ class LinearSolveFailure(MsdiffError):
 
 
 class NonlinearDivergence(MsdiffError):
-    """Per-step fixed-point iteration exhausted its budget without converging.
+    """Per-step fixed-point iteration never reached its residual floor.
 
-    Carries the increment history of the failed attempt.
+    Raised once the iteration budget is spent, or once the backtracking
+    has failed after three restarts.  Carries the max-norm increment of
+    every accepted iterate of the failed attempt.
     """
 
     def __init__(self, message: str, increments: list[float] | None = None):

@@ -244,20 +244,21 @@ def _within(c: np.ndarray, low: float, high: float) -> bool:
     return c.min(initial=np.inf) >= low and _species_sum(c).max(initial=-np.inf) <= high
 
 
-def _require_admissible(c: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """``c`` as floats if all fractions are >= -tol and sum to <= 1 + tol."""
+def _require_admissible(c: np.ndarray) -> np.ndarray:
+    """``c`` as floats if all fractions are >= -1e-12 and sum to <= 1 + 1e-12."""
     c = np.asarray(c, dtype=float)
-    if not _within(c, -tol, 1.0 + tol):
+    if not _within(c, -1e-12, 1.0 + 1e-12):
         raise InadmissibleState("concentrations outside the composition simplex")
     return c
 
 
-def _require_strict(c: np.ndarray, eps: float = EPS_ADMISSIBLE) -> np.ndarray:
-    """``c`` as floats if every fraction, the implied last too, is >= eps."""
+def _require_strict(c: np.ndarray) -> np.ndarray:
+    """``c`` as floats if every fraction, the implied last too, is
+    >= ``EPS_ADMISSIBLE``."""
     c = np.asarray(c, dtype=float)
-    if not _within(c, eps, 1.0 - eps):
+    if not _within(c, EPS_ADMISSIBLE, 1.0 - EPS_ADMISSIBLE):
         raise NotStrictlyAdmissible(
-            f"state touches the simplex boundary (floor {eps:g})"
+            f"state touches the simplex boundary (floor {EPS_ADMISSIBLE:g})"
         )
     return c
 

@@ -13,6 +13,8 @@ banded system.  That frozen map alone converges hopelessly slowly for small
 eps, so the update adds the state-derivative mass term (h/tau) Hinv(w_bar)
 (w - w_bar) to both sides: it vanishes at any fixed point, so the solved
 states are the same, and the iteration gains Newton-like local convergence.
+A step is accepted once the residual of an iterate falls to the rounding
+level of the terms it sums; no increment or iteration-count test ends it.
 
 Each iterate w is evaluated once: its fractions c(w) are checked once, and
 the Hessian inverse, mobility and production rates built from them are kept,
@@ -74,10 +76,6 @@ from .mixture import (
     _w_to_cf,
 )
 
-# With final_polish on, the increment exit is lowered to this rounding level
-# so the telescoped mass identity holds to 1e-10 over thousands of steps.
-POLISH_INCREMENT = 1e-13
-
 StepHook = Callable[[int, float, np.ndarray, np.ndarray, DiagnosticsRecord], None]
 
 
@@ -88,13 +86,12 @@ class SchemeParams:
     tau            time step
     t_end          final time (the last step is shortened to land on it)
     eps            regularization weight; must be positive to run
-    picard_tol     max-norm increment at which the inner solve accepts a
-                   step; also sets the entropy audit's slack (solver_slack)
+    picard_tol     sets only the entropy audit's slack (solver_slack); the
+                   inner solve accepts a step on its residual floor alone
     picard_max     total inner-iteration budget per step, restarts included
-    damping_theta  under-relaxation of the fixed-point update, in (0, 1]
     eta_floor      initial-data blending weight toward the uniform mixture
-    final_polish   lower the increment exit to min(picard_tol, POLISH_INCREMENT)
-                   so the per-step mass identity telescopes to rounding level
+    final_polish   has no effect; kept so callers that pass it to
+                   ``dataclasses.replace`` keep working
     """
 
     tau: float
@@ -102,7 +99,6 @@ class SchemeParams:
     eps: float = 1e-8
     picard_tol: float = 1e-10
     picard_max: int = 200
-    damping_theta: float = 1.0
     eta_floor: float = 1e-8
     final_polish: bool = True
 
@@ -117,8 +113,6 @@ class SchemeParams:
             raise ValidationError("picard_tol", "must be positive")
         if self.picard_max < 1:
             raise ValidationError("picard_max", "must be at least 1")
-        if not 0.0 < self.damping_theta <= 1.0:
-            raise ValidationError("damping_theta", "must lie in (0, 1]")
         if not self.eta_floor > 0.0:
             raise ValidationError("eta_floor", "must be positive")
 
@@ -174,7 +168,6 @@ class StepResult:
     iterations: int
     final_increment: float
     linear_residual: float
-    theta: float
     restarts: int
     state: _State = field(repr=False, compare=False)
 
@@ -381,17 +374,18 @@ def advance_step(
     decreases, which keeps the iteration globally convergent even for
     near-vacuum states whose entropy variables jump by tens between
     neighboring cells.  The step is accepted at the first iterate whose
-    residual reaches its floor or whose max-norm increment is at most
-    ``picard_tol`` (at most ``POLISH_INCREMENT`` with ``final_polish``).
-    The floor certifies a fixed point to working precision and ends almost
-    every step; rough states never bring the increment to the tolerance,
-    while a few steps reach a rounding-level increment above the floor.
+    residual ||S w - b|| reaches its floor
 
-    Increments growing three times in a row while the backtracking is
-    already cutting steps triggers a restart with the base relaxation
-    halved, as does a failed backtracking search; after three restarts or
-    once the iteration budget is spent the step raises
-    ``NonlinearDivergence``.
+        1e-14 (||S||_F ||w|| + ||b|| + (h/tau) ||c(w)||),
+
+    the rounding level of the terms the residual sums, the (h/tau) c(w)
+    term included although it cancels against c_prev inside b.  That is
+    the only exit: it certifies a fixed point to working precision, at the
+    homogeneous steady state too.
+
+    A failed backtracking search restarts the step from the previous state
+    with the relaxation halved; after three restarts or once the iteration
+    budget is spent the step raises ``NonlinearDivergence``.
 
     Every iterate, trial points of the backtracking included, is evaluated
     once (fractions checked, mobility and production built) and assembled
@@ -410,7 +404,8 @@ def advance_step(
     elif prev.w is not w_prev:
         raise InconsistentFields("prev is not the evaluation of w_prev")
     c_prev = prev.c
-    theta = params.damping_theta
+    h_tau = grid.h / tau
+    theta = 1.0
     restarts = iterations = 0
     increments: list[float] = []
 
@@ -418,7 +413,7 @@ def advance_step(
         """Assemble at a state; return system, rhs, its norm and the residual there."""
         held = work.held
         if held is not None and held[0] is state and held[1:3] == (tau, params.eps):
-            b = _rhs(grid.h, tau, state, c_prev, state.hinv * (grid.h / tau))
+            b = _rhs(grid.h, tau, state, c_prev, state.hinv * h_tau)
             return work.ab, b, held[3], _norm(held[4] - b)
         ab, b = _assemble_banded(spec, grid, tau, params.eps, state, c_prev, work)
         # ||S||_F: twice all squared bands (the unused corner is 0) less the diagonal's
@@ -428,12 +423,9 @@ def advance_step(
         work.held = (state, tau, params.eps, norm_S, Sw)
         return ab, b, norm_S, _norm(Sw - b)
 
-    tol = min(params.picard_tol, POLISH_INCREMENT if params.final_polish else np.inf)
     while True:
         acc = prev
         ab, b, norm_S, f_acc = assemble_at(acc)
-        first = len(increments)  # this restart's increments start here
-        last_s = 1.0
         while iterations < params.picard_max:
             x, lin_resid = _solve_checked(ab, b, norm_S)
             d = x.reshape(acc.w.shape) - acc.w
@@ -441,7 +433,10 @@ def advance_step(
             for _ in range(11):
                 trial = _evaluate(spec, acc.w + (theta * s) * d)
                 ab, b, norm_S, f_try = assemble_at(trial)
-                floor = 1e-14 * (norm_S * _norm(trial.w.ravel()) + _norm(b))
+                c_norm = _norm(trial.c.ravel())
+                floor = 1e-14 * (
+                    norm_S * _norm(trial.w.ravel()) + _norm(b) + h_tau * c_norm
+                )
                 if f_try <= (1.0 - 1e-4 * theta * s) * f_acc or f_try <= floor:
                     break
                 s *= 0.5
@@ -452,32 +447,24 @@ def advance_step(
             increments.append(inc)
             acc = trial
             f_acc = f_try
-            if f_acc <= floor or inc <= tol:
+            if f_acc <= floor:
                 return StepResult(
                     w=acc.w,
                     iterations=iterations,
                     final_increment=inc,
                     linear_residual=lin_resid,
-                    theta=theta,
                     restarts=restarts,
                     state=acc,
                 )
-            if (
-                len(increments) - first >= 3
-                and increments[-1] > increments[-2] > increments[-3]
-                and (s < 1.0 or last_s < 1.0)
-            ):
-                break
-            last_s = s
         else:
             raise NonlinearDivergence(
-                f"no convergence within {params.picard_max} iterations",
+                f"residual above its floor after {params.picard_max} iterations",
                 increments=increments,
             )
         restarts += 1
         if restarts > 3 or iterations >= params.picard_max:
             raise NonlinearDivergence(
-                f"diverging increments after {restarts - 1} restarts",
+                f"backtracking failed after {restarts - 1} restarts",
                 increments=increments,
             )
         theta *= 0.5
@@ -527,7 +514,8 @@ def run_simulation(
     step size.
 
     ``hooks`` are called after every accepted step as
-    ``hook(step_index, t, c, w, record)``; ``c`` and ``w`` are read-only.
+    ``hook(step_index, t, cf, w, record)``, with ``cf`` all N+1 fractions
+    the solver computed from ``w``; ``cf`` and ``w`` are read-only.
     ``record_every`` thins the stored records (the initial and final states
     are always kept).  Each accepted state's evaluation from the solver
     supplies its record, its production integral and the start of the next
@@ -622,7 +610,7 @@ def run_simulation(
         result.t_final, result.steps = t, k
         if hooks:
             for hook in hooks:
-                hook(k, t, c, w, record)
+                hook(k, t, state.cf, w, record)
         if store:
             result.records.append(record)
             last_stored = k

@@ -5,16 +5,19 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import msdiff.cli
 from msdiff import AuditFailure, SimulationAborted
 from msdiff.cli import main, run_scenario
 from msdiff.config import config_from_pairs
-from test_stepper import failing_verdict
+from test_stepper import FIVE_SPECIES, failing_verdict
 
 TS_HEADER_3 = (
     "time,entropy,relative_entropy,dissipation_raw,dissipation_sqrt,"
@@ -120,17 +123,11 @@ class TestRunCommand:
         summary = json.loads((tmp_path / "out" / "run_summary.json").read_text())
         assert summary["cells"] == 16
 
-    def test_five_species_run_ending_steps_on_the_increment(self, tmp_path):
-        # every step of this run reaches an increment below 1e-14 while its
-        # residual stays about twice the floor: only the increment exit ends it
+    def test_five_species_run_ending_steps_on_the_residual_floor(self, tmp_path):
+        # the residual floor counts the (h/tau) c(w) scale that cancels
+        # against c_prev, so each step ends on it within two iterations
         cfg = tmp_path / "five.cfg"
-        cfg.write_text(
-            "species=5\n"
-            "D=22.0383,0.0397462,0.0541697,0.131241,0.229354,"
-            "11.836,10.5563,20.113,0.46683,0.0352782\n"
-            "eps=5.69e-07\nlength=6.286\ncells=8\ntau=0.000164\n"
-            "t_end=0.000820067\ninitial=cosine:0.000353\n"
-        )
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in FIVE_SPECIES))
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--output-dir", str(out)]) == 0
         summary = json.loads((out / "run_summary.json").read_text())
@@ -138,6 +135,8 @@ class TestRunCommand:
         assert summary["steps"] == 6
         audit = json.loads((out / "audit.json").read_text())
         assert len(audit["verdicts"]) == 6
+        ts = np.loadtxt(out / "timeseries.csv", delimiter=",", skiprows=1)
+        assert np.all(ts[1:, -1] <= 2)
         assert all(v["passed"] for v in audit["verdicts"])
 
     def test_summary_uses_shortest_roundtrip_floats(self, tmp_path):
@@ -145,6 +144,49 @@ class TestRunCommand:
         text = (tmp_path / "timeseries.csv").read_text()
         value = text.splitlines()[1].split(",")[1]
         assert repr(float(value)) == value
+
+
+def log_uniform(low, high):
+    """Floats spread evenly in log10 between ``low`` and ``high``."""
+    return st.floats(np.log10(low), np.log10(high)).map(lambda e: 10.0**e)
+
+
+@st.composite
+def homogeneous_configs(draw):
+    """Key-value pairs of a five-step run from spatially constant data."""
+    n1 = draw(st.integers(3, 6))
+    pairs = n1 * (n1 - 1) // 2
+    d = draw(st.lists(log_uniform(10**-1.5, 10**1.5), min_size=pairs, max_size=pairs))
+    tau = draw(log_uniform(1e-4, 1e-1))
+    initial = "uniform"
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.floats(0.05, 1.0), min_size=n1, max_size=n1))
+        initial += ":" + ",".join(repr(v / sum(weights)) for v in weights[:-1])
+    return [
+        ("species", str(n1)),
+        ("D", ",".join(map(repr, d))),
+        ("eps", repr(draw(log_uniform(1e-10, 1e-4)))),
+        ("length", repr(draw(log_uniform(0.1, 10.0)))),
+        ("cells", str(draw(st.integers(2, 64)))),
+        ("tau", repr(tau)),
+        ("t_end", repr(5 * tau)),
+        ("initial", initial),
+        ("emit_timeseries", "false"),
+    ]
+
+
+class TestHomogeneousData:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(pairs=homogeneous_configs())
+    def test_runs_from_constant_data_pass_every_audit(self, pairs):
+        # the paper's steady state, and any constant start, must be steppable:
+        # there the residual floor has to count the (h/tau) c(w) scale
+        with tempfile.TemporaryDirectory() as out:
+            config = config_from_pairs(pairs + [("output_dir", out)])
+            assert run_scenario(config) == 0
+            summary = json.loads((Path(out) / "run_summary.json").read_text())
+        assert summary["steps"] == 5
+        assert summary["audits_passed"] is True
 
 
 class TestErrorExits:
@@ -372,6 +414,7 @@ class TestConsoleEntry:
             "--override", "cells=64",
             "--override", "picard_max=11",
             "--override", "t_end=3.5e-3",
+            "--override", "snapshot_every=1",
             "--output-dir", str(tmp_path),
         )
         assert proc.returncode == 0, proc.stderr
@@ -379,3 +422,9 @@ class TestConsoleEntry:
         summary = json.loads((tmp_path / "run_summary.json").read_text())
         assert summary["audits_passed"] is True
         assert summary["audit_margins"]["bounds_min"] > 0.0
+        # snapshots write the solver's fractions, so the vanishing third
+        # fraction stays positive there too instead of rounding to 0.0
+        assert len(summary["snapshots"]) == summary["steps"] + 1
+        for name in summary["snapshots"]:
+            rows = np.loadtxt(tmp_path / name, delimiter=",", skiprows=1)
+            assert np.all(rows[:, 1:4] > 0.0), name

@@ -95,6 +95,7 @@ class TestParseConfig:
             ("D=1,-2,3", "D"),
             ("D=", "D"),
             ("audit=quiet", "audit"),
+            # a retired key, rejected as unknown whatever its value
             ("damping_theta=0", "damping_theta"),
             ("damping_theta=2", "damping_theta"),
             ("production=fission", "production"),

@@ -43,6 +43,7 @@ from msdiff import (
     step_profile,
     w_to_c,
 )
+from msdiff.config import config_from_pairs, materialize
 from msdiff.diagnostics import AuditVerdict
 from test_mixture import equal_d_spec, ternary_123_spec
 
@@ -66,6 +67,21 @@ def rough_setup(**kw):
     c0 = step_profile(grid, np.array([0.0, 0.5]), np.array([0.5, 0.5]))
     params = SchemeParams(tau=kw.pop("tau", 1e-3), t_end=kw.pop("t_end", 1e-3), **kw)
     return spec, grid, params, c0
+
+
+# Five species on 8 cells: every step's matvec residual sits near the
+# rounding level of the (h/tau) c(w) term that cancels against c_prev.
+FIVE_SPECIES = (
+    ("species", "5"),
+    ("D", "22.0383,0.0397462,0.0541697,0.131241,0.229354,"
+          "11.836,10.5563,20.113,0.46683,0.0352782"),
+    ("eps", "5.69e-07"),
+    ("length", "6.286"),
+    ("cells", "8"),
+    ("tau", "0.000164"),
+    ("t_end", "0.000820067"),
+    ("initial", "cosine:0.000353"),
+)
 
 
 def random_spec(n_species, seed=0):
@@ -127,8 +143,6 @@ class TestSchemeParams:
             ("eps", -1e-9),
             ("picard_tol", 0.0),
             ("picard_max", 0),
-            ("damping_theta", 0.0),
-            ("damping_theta", 1.5),
             ("eta_floor", 0.0),
         ],
     )
@@ -347,7 +361,6 @@ class TestAdvanceStep:
         w0 = c_to_w(regularize_initial(spec, c0, params.eta_floor))
         step = advance_step(spec, grid, params, w0)
         assert step.restarts == 0
-        assert step.theta == 1.0
         assert 1 <= step.iterations <= 25
         assert step.final_increment <= 1e-9
         assert step.linear_residual <= 1e-12
@@ -380,28 +393,15 @@ class TestAdvanceStep:
             scale = max(float(np.max(np.abs(t))) for t in terms)
             assert np.max(np.abs(sum(terms))) <= 1e-9 * scale
 
-    def test_half_damping_matches_full_step(self):
-        # theta < 1 only slows the iteration; it converges to the same state
-        spec, grid, params, c0 = heat_setup(cells=16, damping_theta=0.5)
+    def test_step_ignores_picard_tol(self):
+        # the residual floor is the only exit, so no tolerance can hold a
+        # converged step open
+        spec, grid, params, c0 = materialize(config_from_pairs(list(FIVE_SPECIES)))
         w0 = c_to_w(regularize_initial(spec, c0, params.eta_floor))
         step = advance_step(spec, grid, params, w0)
-        assert step.theta == 0.5
-        assert step.restarts == 0
-        full = advance_step(spec, grid, replace(params, damping_theta=1.0), w0)
-        assert full.theta == 1.0
-        np.testing.assert_allclose(step.w, full.w, rtol=0.0, atol=2e-13)
-
-    @pytest.mark.parametrize("setup", [heat_setup, rough_setup])
-    def test_unpolished_step_stops_on_the_increment(self, setup):
-        # without final_polish the increment exit stays at picard_tol, so a
-        # loose tolerance ends the step well before the residual floor
-        spec, grid, params, c0 = setup(picard_tol=1e-4)
-        w0 = c_to_w(regularize_initial(spec, c0, params.eta_floor))
-        loose = advance_step(spec, grid, replace(params, final_polish=False), w0)
-        polished = advance_step(spec, grid, params, w0)
-        assert 1e-13 < loose.final_increment <= 1e-4
-        assert loose.iterations < polished.iterations
-        assert np.max(np.abs(loose.w - polished.w)) <= 1e-4
+        tight = advance_step(spec, grid, replace(params, picard_tol=1e-300), w0)
+        assert np.array_equal(tight.w, step.w)
+        assert tight.iterations == step.iterations
 
     def test_rough_data_converges_with_backtracking_budget(self):
         spec, grid, params, c0 = rough_setup()
@@ -490,8 +490,12 @@ class TestRunSimulation:
         spec, grid, params, c0 = heat_setup(t_end=0.005)
         seen = []
 
-        def hook(k, t, c, w, record):
-            assert c.shape == w.shape == (grid.cells, spec.n_reduced)
+        def hook(k, t, cf, w, record):
+            # the solver's N+1 fractions of w, read-only like w itself
+            assert cf.shape == (grid.cells, spec.n_species)
+            assert w.shape == (grid.cells, spec.n_reduced)
+            assert not cf.flags.writeable and not w.flags.writeable
+            assert np.array_equal(cf[:, :-1], w_to_c(w))
             assert record.time == pytest.approx(t)
             seen.append(k)
 
@@ -539,6 +543,26 @@ class TestRunSimulation:
         # where 1 - sum(c) would round to 0.0; the record carries it from w
         spec, grid, params, c0 = rough_setup(picard_max=11, t_end=3.5e-3)
         result = run_simulation(spec, grid, params, c0)
+        assert all(v.passed for v in result.verdicts)
+
+    @pytest.mark.xfail(
+        raises=AuditFailure,
+        strict=True,
+        reason="||S||_F of about 4.6e5 lifts the residual floor to 9.3e-8, so "
+        "step 4 is accepted unconverged with mass identity defect 7.0e-9",
+    )
+    def test_stiff_short_domain_run_conserves_mass(self):
+        config = config_from_pairs([
+            ("species", "4"),
+            ("D", "5.1368,14.013,0.068438,0.12226,0.049787,9.7265"),
+            ("eps", "5.98e-05"),
+            ("length", "0.107"),
+            ("cells", "46"),
+            ("tau", "0.0153"),
+            ("t_end", "0.0763"),
+            ("initial", "step:0.2755,0.3490,0.0521;0.0298,0.3009,0.0128"),
+        ])
+        result = run_simulation(*materialize(config))
         assert all(v.passed for v in result.verdicts)
 
     @pytest.mark.parametrize(
