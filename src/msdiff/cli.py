@@ -55,24 +55,12 @@ def _f(x) -> str:
     return repr(float(x))
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    return value
-
-
 def _write_json(path: Path, payload: dict) -> None:
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True)
+    # numpy arrays and the numpy scalars that are not Python floats
+    # (np.bool_, np.int64) serialize through ``tolist``
+    text = json.dumps(
+        payload, indent=2, sort_keys=True, default=lambda o: o.tolist()
+    )
     path.write_text(text + "\n", encoding="utf-8")
 
 
@@ -313,37 +301,28 @@ def run_scenario(config: RunConfig) -> int:
     except AuditFailure as exc:
         result = exc.partial
         exit_code, abort = 2, str(exc)
-    else:
-        if result.verdicts and not all(v.passed for v in result.verdicts):
-            exit_code = 2
     if (
         snap_dir is not None
         and result.steps > 0
         and collector.last_snapshot_step != result.steps
     ):
         collector.write_snapshot(result.steps, _w_to_cf(result.w), result.w)
-    written = []
-    if config.emit_timeseries and result.records:
-        path = out / "timeseries.csv"
-        _write_timeseries(path, result.records)
-        written.append(path)
-    if config.emit_audit_json:
-        path = out / "audit.json"
-        _write_json(
-            path,
-            {
-                "audit_mode": config.audit,
-                "verdicts": [_verdict_dict(v) for v in result.verdicts],
-            },
-        )
-        written.append(path)
+    timeseries = out / "timeseries.csv"
+    audit = out / "audit.json"
+    summary_path = out / "run_summary.json"
+    _write_timeseries(timeseries, result.records)
+    _write_json(
+        audit,
+        {
+            "audit_mode": config.audit,
+            "verdicts": [_verdict_dict(v) for v in result.verdicts],
+        },
+    )
     summary = _build_summary(
         config, spec, grid, params, result, collector, exit_code, abort
     )
-    path = out / "run_summary.json"
-    _write_json(path, summary)
-    written.append(path)
-    for p in written:
+    _write_json(summary_path, summary)
+    for p in (timeseries, audit, summary_path):
         print(f"wrote {p}")
     for name in collector.snapshots:
         print(f"wrote {out / name}")

@@ -49,16 +49,6 @@ class RunConfig:
     audit: str = "enforce"
     seed: int = 0
     samples: int = 1000
-    emit_timeseries: bool = True
-    emit_audit_json: bool = True
-
-
-def _parse_bool(key: str, value: str) -> bool:
-    if value == "true":
-        return True
-    if value == "false":
-        return False
-    raise ValidationError(key, f"expected true or false, got {value!r}")
 
 
 def _parse_int(key: str, value: str) -> int:
@@ -112,13 +102,11 @@ _KEYS = {
     "record_every": (_parse_int, lambda v: v >= 1, "must be at least 1"),
     "audit": (
         lambda k, v: v,
-        lambda v: v in ("enforce", "warn", "off"),
-        "must be 'enforce', 'warn' or 'off'",
+        lambda v: v in ("enforce", "off"),
+        "must be 'enforce' or 'off'",
     ),
     "seed": (_parse_int, lambda v: 0 <= v < 2**64, "must fit in 64 bits"),
     "samples": (_parse_int, lambda v: v >= 0, "must be nonnegative"),
-    "emit_timeseries": (_parse_bool, None, ""),
-    "emit_audit_json": (_parse_bool, None, ""),
 }
 
 _FIELD_NAMES = {f.name for f in fields(RunConfig)}

@@ -1,11 +1,18 @@
 """Entropy bookkeeping, flux closure checks and per-step audits.
 
-Everything the scheme provably guarantees is re-derived here from the raw
-fields so a run can check itself: the entropy functional and its dissipation
-(both the quadratic form actually damped by the scheme and the square-root
-lower bound it dominates), per-species mass balances, strict positivity,
-flux reconstruction against the original gradient-flux relations, and the
+Everything the scheme provably guarantees is re-derived here from the
+solver's own evaluation of each accepted state, so a run can check itself:
+the entropy functional and its dissipation (both the quadratic form
+actually damped by the scheme and the square-root lower bound it
+dominates), per-species mass balances, strict positivity, flux
+reconstruction against the original gradient-flux relations, and the
 exponential decay fit of the relative entropy.
+
+The entropy, relative entropy and dissipation kernels are private and
+unchecked: they read all N+1 fractions ``cf`` and the mobilities that the
+stepper already computed and checked for the state, and the step record
+is their only caller.  What they compute is public through
+``DiagnosticsRecord``, and ``audit_step`` judges it.
 """
 
 from __future__ import annotations
@@ -15,20 +22,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import xlogy
 
-from .errors import (
-    BadReference,
-    DimensionMismatch,
-    DissipationContractViolation,
-    InconsistentFields,
-    InsufficientData,
-    NonPositiveEntropy,
-)
+from .errors import DimensionMismatch, InsufficientData, NonPositiveEntropy
 from .grid import Grid1D, divergence, face_gradient, integrate
 from .mixture import (
     MixtureSpec,
     full_concentrations,
-    mobility_matrix,
-    w_to_c,
     _entropy_density,
     _inverse_friction,
     _require_admissible,
@@ -76,37 +74,21 @@ class AuditVerdict:
         return self.entropy_ok and self.mass_ok and self.bounds_ok and self.dissipation_ok
 
 
-def entropy_functional(grid: Grid1D, c: np.ndarray) -> float:
-    """Integral of the entropy density over the interval."""
-    return _entropy(grid, full_concentrations(_require_admissible(c)))
-
-
 def _entropy(grid: Grid1D, cf: np.ndarray) -> float:
-    """``entropy_functional`` from all N+1 fractions of an admissible field."""
+    """Integral of the entropy density over the interval, from all N+1
+    fractions ``cf`` of an admissible field."""
     return float(integrate(grid, _entropy_density(cf)))
 
 
-def relative_entropy(grid: Grid1D, c: np.ndarray, reference: np.ndarray) -> float:
+def _relative_entropy(grid: Grid1D, cf: np.ndarray, reference: np.ndarray) -> float:
     """Entropy of the field relative to a constant reference composition.
 
-    ``reference`` holds all N+1 fractions of a strictly positive composition
-    summing to one.  The integrand ``sum_i c_i log(c_i / ref_i)`` is a
-    pointwise Kullback-Leibler divergence, hence nonnegative, and vanishes
-    exactly when the field equals the reference everywhere.
+    ``cf`` holds all N+1 fractions of an admissible field and ``reference``
+    all N+1 fractions of a strictly positive composition summing to one.
+    The integrand ``sum_i c_i log(c_i / ref_i)`` is a pointwise
+    Kullback-Leibler divergence, hence nonnegative, and vanishes exactly
+    when the field equals the reference everywhere.
     """
-    reference = np.asarray(reference, dtype=float)
-    cf = full_concentrations(_require_admissible(c))
-    if reference.shape != cf.shape[-1:]:
-        raise BadReference(
-            f"reference must list all {cf.shape[-1]} fractions"
-        )
-    if np.any(reference <= 0.0) or abs(reference.sum() - 1.0) > 1e-12:
-        raise BadReference("reference must be strictly positive and sum to 1")
-    return _relative_entropy(grid, cf, reference)
-
-
-def _relative_entropy(grid: Grid1D, cf: np.ndarray, reference: np.ndarray) -> float:
-    """``relative_entropy`` from all N+1 fractions and a valid reference."""
     dens = np.sum(xlogy(cf, cf) - cf * np.log(reference), axis=-1)
     return float(integrate(grid, dens))
 
@@ -116,50 +98,19 @@ def solver_slack(picard_tol: float, n_reduced: int, cells: int) -> float:
     return 10.0 * picard_tol * n_reduced * cells
 
 
-def dissipation(
-    spec: MixtureSpec,
-    grid: Grid1D,
-    c: np.ndarray,
-    w: np.ndarray,
-    enforce: bool = True,
+def _dissipation(
+    grid: Grid1D, B: np.ndarray, cf: np.ndarray, w: np.ndarray
 ) -> tuple[float, float]:
-    """Face-quadrature entropy dissipation of a state, two ways.
+    """Face-quadrature entropy dissipation of the state ``w``, two ways.
 
+    Reads the cell mobilities ``B`` and all N+1 fractions ``cf`` of ``w``.
     Returns ``(raw, sqrt_form)``: the quadratic form ``grad w : B grad w``
     with face mobilities averaged from the neighboring cells, and the
     square-root form ``sum_i |grad sqrt(c_i)|^2`` over all N+1 species
     built from differences of cellwise square roots.  The energy estimate
-    bounds ``raw`` from below by ``(4 / Delta) * sqrt_form``; with
-    ``enforce`` that margin is checked here (tolerance 1e-9) and a
-    violation raises.
-
-    The two fields must describe the same state: ``c`` is compared against
-    the transform of ``w`` and a mismatch beyond 1e-10 raises.
+    bounds ``raw`` from below by ``(4 / Delta) * sqrt_form``; ``audit_step``
+    checks that margin.
     """
-    c = np.asarray(c, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if c.shape != w.shape or c.shape[0] != grid.cells:
-        raise DimensionMismatch("c and w must both be (cells, N) fields")
-    if float(np.max(np.abs(c - w_to_c(w)))) > 1e-10:
-        raise InconsistentFields(
-            "concentration field does not match the entropy-variable field"
-        )
-    raw, sqrt_form = _dissipation(
-        grid, mobility_matrix(spec, c), full_concentrations(c), w
-    )
-    margin = raw - 4.0 * sqrt_form / spec.Delta
-    if enforce and margin < -1e-9:
-        raise DissipationContractViolation(
-            f"raw dissipation {raw:.6e} under its lower bound by {-margin:.3e}"
-        )
-    return raw, sqrt_form
-
-
-def _dissipation(
-    grid: Grid1D, B: np.ndarray, cf: np.ndarray, w: np.ndarray
-) -> tuple[float, float]:
-    """``dissipation`` forms from the cell mobilities ``B`` and all N+1
-    fractions ``cf`` of the state ``w``, unchecked."""
     h = grid.h
     dw = w[1:] - w[:-1]
     B_face = 0.5 * (B[:-1] + B[1:])

@@ -2,8 +2,10 @@
 
 Construction-time errors signal ill-formed inputs (bad diffusivity matrices,
 inadmissible states, malformed configs).  Runtime errors signal solver
-breakdown or a violated runtime invariant; the simulation driver distinguishes
-the two when mapping failures to process exit codes.
+breakdown (``SimulationAborted``) or a step that failed its audit
+(``AuditFailure``); a run either finishes with every audit passed or
+raises one of them.  The command line maps the three kinds to the exit
+codes 64, 1 and 2.
 """
 
 from __future__ import annotations
@@ -65,6 +67,11 @@ class InadmissibleInitialData(MsdiffError):
     """Initial concentrations not inside the closed composition simplex."""
 
 
+class InconsistentFields(MsdiffError):
+    """A carried evaluation or workspace does not belong to the step's
+    state or parameters."""
+
+
 class LinearSolveFailure(MsdiffError):
     """Banded Cholesky solve failed or left a large residual."""
 
@@ -97,14 +104,6 @@ class SimulationAborted(MsdiffError):
 # diagnostics and audits
 
 
-class InconsistentFields(MsdiffError):
-    """Concentration and entropy-variable fields disagree."""
-
-
-class BadReference(MsdiffError):
-    """Reference composition for the relative entropy is not a valid state."""
-
-
 class InsufficientData(MsdiffError):
     """Too few diagnostics records in the requested fit window."""
 
@@ -117,12 +116,8 @@ class AuditError(MsdiffError):
     """A runtime invariant check failed beyond its allowed slack."""
 
 
-class DissipationContractViolation(AuditError):
-    """Raw entropy dissipation fell below its square-root lower bound."""
-
-
 class AuditFailure(AuditError):
-    """Enforcing per-step audit rejected an accepted step.
+    """The per-step audit rejected an accepted step.
 
     ``partial`` holds the trajectory accumulated before the failure.
     """

@@ -408,19 +408,13 @@ def _entropy_density(cf: np.ndarray) -> np.ndarray:
     return np.sum(xlogy(cf, cf), axis=-1) - 1.0
 
 
-def entropy_hessian_inverse(c: np.ndarray) -> np.ndarray:
+def _hessian_inverse(c: np.ndarray) -> np.ndarray:
     """Closed-form inverse ``diag(c) - c c^T`` of the entropy Hessian
-    ``H_ij = 1/c_last + delta_ij / c_i`` in the reduced variables.
+    ``H_ij = 1/c_last + delta_ij / c_i`` in the reduced variables, for an
+    admissible float state, unchecked.
 
     Unlike the Hessian itself this is a polynomial in c, so it extends
     continuously to the simplex boundary and is safe to assemble there.
-    """
-    return _hessian_inverse(_require_admissible(c))
-
-
-def _hessian_inverse(c: np.ndarray) -> np.ndarray:
-    """``entropy_hessian_inverse`` of an admissible float state, unchecked.
-
     The diagonal is formed as ``c_i (1 - c_i)``: ``c_i - c_i**2`` cancels
     as c_i approaches 1.  Three species write the three distinct entries
     out; more species write the diagonal into the outer product through a

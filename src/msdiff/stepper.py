@@ -26,15 +26,16 @@ Unknowns are ordered cell-major (all species of cell 0, then cell 1, ...),
 which keeps the matrix banded with half-bandwidth 2N: couplings reach one
 cell for the mobility stiffness and two cells for the bilaplacian
 regularization.  The bands sit in one Fortran-ordered LAPACK lower-band
-buffer for the banded Cholesky and the BLAS band product ``dsbmv``.  The
-matrix does not depend on c_prev, so a step starting at the state its
-predecessor accepted reuses that assembly and rebuilds only the right-hand side.
+buffer for the banded Cholesky and the BLAS band product ``dsbmv``; a
+workspace holds that buffer and the eps bands of the one eps it was built
+for.  The matrix does not depend on c_prev, so a step starting at the state
+its predecessor accepted reuses that assembly and rebuilds only the
+right-hand side.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -232,48 +233,36 @@ def regularize_initial(spec: MixtureSpec, c0: np.ndarray, eta: float) -> np.ndar
 
 class _Workspace:
     """Preallocated buffers, scatter indices and eps bands reused across
-    assemblies.
+    the assemblies of one run at one eps.
 
     ``ab`` is banded storage, ab[k, q] = S[q + k, q], in Fortran order, which
     ``dsbmv`` reads in place; ``block_at`` and ``coupling_at`` are flat
     column-major positions in it: one row per cell for the lower triangle of
     its diagonal block, in ``tril`` order, and one row per interior face for
-    the full block coupling its right cell to its left.  ``eps_bands(eps)``
-    holds ``eps h (L^2 + I)`` in the same storage, built once per eps.
-    ``held`` is ``(state, tau, eps, ||S||_F, S w)`` of the matrix in ``ab``
-    when ``advance_step`` assembled it, None after any other assembly.
+    the full block coupling its right cell to its left.  ``eps_ab`` holds
+    ``eps h (L^2 + I)`` in the same storage for the workspace's ``eps``.
+    ``held`` is ``(state, tau, ||S||_F, S w)`` of the matrix in ``ab`` when
+    ``advance_step`` assembled it, None after any other assembly.
     """
 
-    def __init__(self, spec: MixtureSpec, grid: Grid1D):
-        n = spec.n_reduced
+    def __init__(self, spec: MixtureSpec, grid: Grid1D, eps: float):
+        n, m = spec.n_reduced, grid.cells
         rows = 2 * n + 1
-        self.ab = np.empty((rows, n * grid.cells), order="F")
-        self.n, self.cells, self.h = n, grid.cells, grid.h
-        self.l2_bands = laplacian_squared_lower_bands(grid)
-        first = n * np.arange(grid.cells)[:, None]
+        self.ab = np.empty((rows, n * m), order="F")
+        self.eps = eps
+        first = n * np.arange(m)[:, None]
         self.tril = np.tril_indices(n)
         i, j = self.tril
         self.block_at = (first + j) * rows + (i - j)
         i, j = np.divmod(np.arange(n * n), n)
         self.coupling_at = (first[:-1] + j) * rows + (n + i - j)
-        self._eps: float | None = None
-        self._eps_ab = np.zeros_like(self.ab)
+        l0, l1, l2 = laplacian_squared_lower_bands(grid)
+        s = eps * grid.h
+        self.eps_ab = np.zeros_like(self.ab)
+        self.eps_ab[0] = np.repeat(s * (l0 + 1.0), n)
+        self.eps_ab[n, : (m - 1) * n] = np.repeat(s * l1, n)
+        self.eps_ab[2 * n, : (m - 2) * n] = np.repeat(s * l2, n)
         self.held: tuple | None = None
-
-    def eps_bands(self, eps: float) -> np.ndarray:
-        """The eps-bilaplacian bands in banded storage, cached per eps."""
-        if eps != self._eps:
-            n, m = self.n, self.cells
-            ab = self._eps_ab
-            ab[:] = 0.0
-            if eps != 0.0:
-                l0, l1, l2 = self.l2_bands
-                s = eps * self.h
-                ab[0] = np.repeat(s * (l0 + 1.0), n)
-                ab[n, : (m - 1) * n] = np.repeat(s * l1, n)
-                ab[2 * n, : (m - 2) * n] = np.repeat(s * l2, n)
-            self._eps = eps
-        return self._eps_ab
 
 
 def _rhs(h: float, tau: float, state: _State, c_prev, hinv_scaled) -> np.ndarray:
@@ -288,7 +277,6 @@ def _assemble_banded(
     spec: MixtureSpec,
     grid: Grid1D,
     tau: float,
-    eps: float,
     state: _State,
     c_prev: np.ndarray,
     work: _Workspace,
@@ -299,7 +287,7 @@ def _assemble_banded(
     Storage follows the LAPACK convention ab[k, q] = S[q + k, q].  Face
     mobilities are averaged from the two neighboring cells and symmetrized
     so the assembled matrix is symmetric to the last bit.  ``ab`` starts as
-    a copy of the workspace's cached eps-bilaplacian bands; the block and
+    a copy of the workspace's eps-bilaplacian bands; the block and
     coupling entries occupy disjoint positions, so each entry receives one
     term added to its eps part, which equals adding the eps part last.
     """
@@ -308,7 +296,7 @@ def _assemble_banded(
     h = grid.h
     ab = work.ab
     work.held = None
-    np.copyto(ab, work.eps_bands(eps))
+    np.copyto(ab, work.eps_ab)
     B = state.B
     Bf = 0.5 * (B[:-1] + B[1:])
     Bf = 0.5 * (Bf + np.swapaxes(Bf, -1, -2))
@@ -385,20 +373,27 @@ def advance_step(
 
     A failed backtracking search restarts the step from the previous state
     with the relaxation halved; after three restarts or once the iteration
-    budget is spent the step raises ``NonlinearDivergence``.
+    budget is spent the step raises ``NonlinearDivergence``.  The restart
+    is not a duplicate of ``run_simulation``'s step-size retry: the first
+    step of ternary_uphill at eps = 1e-5 needs one restart and converges at
+    the full tau, while without the restart halving tau five times does not
+    rescue it, and at eps = 1e-6 four retries stand in for the one restart.
 
     Every iterate, trial points of the backtracking included, is evaluated
     once (fractions checked, mobility and production built) and assembled
     from that evaluation.  The accepted state's evaluation comes back as
     ``StepResult.state``; passing it as ``prev`` to the next call, with its
     ``w`` as ``w_prev``, spares evaluating the start state again, and with
-    the same ``work``, tau and eps also assembling it: only the right-hand
-    side is rebuilt.  A ``prev`` whose ``w`` is not the ``w_prev`` array
-    raises ``InconsistentFields``.
+    the same ``work`` and tau also assembling it: only the right-hand side
+    is rebuilt.  A ``prev`` whose ``w`` is not the ``w_prev`` array, or a
+    ``work`` built for an eps other than ``params.eps``, raises
+    ``InconsistentFields``.
     """
     tau = params.tau if tau is None else tau
     if work is None:
-        work = _Workspace(spec, grid)
+        work = _Workspace(spec, grid, params.eps)
+    elif work.eps != params.eps:
+        raise InconsistentFields("work was built for another eps")
     if prev is None:
         prev = _evaluate(spec, np.array(w_prev, dtype=float))
     elif prev.w is not w_prev:
@@ -412,15 +407,15 @@ def advance_step(
     def assemble_at(state: _State) -> tuple[np.ndarray, np.ndarray, float, float]:
         """Assemble at a state; return system, rhs, its norm and the residual there."""
         held = work.held
-        if held is not None and held[0] is state and held[1:3] == (tau, params.eps):
+        if held is not None and held[0] is state and held[1] == tau:
             b = _rhs(grid.h, tau, state, c_prev, state.hinv * h_tau)
-            return work.ab, b, held[3], _norm(held[4] - b)
-        ab, b = _assemble_banded(spec, grid, tau, params.eps, state, c_prev, work)
+            return work.ab, b, held[2], _norm(held[3] - b)
+        ab, b = _assemble_banded(spec, grid, tau, state, c_prev, work)
         # ||S||_F: twice all squared bands (the unused corner is 0) less the diagonal's
         flat = ab.ravel(order="F")
         norm_S = math.sqrt(2.0 * float(flat @ flat) - float(ab[0] @ ab[0]))
         Sw = _band_matvec(ab, state.w.ravel())
-        work.held = (state, tau, params.eps, norm_S, Sw)
+        work.held = (state, tau, norm_S, Sw)
         return ab, b, norm_S, _norm(Sw - b)
 
     while True:
@@ -507,8 +502,9 @@ def run_simulation(
     Every accepted step is audited against the proved invariants (entropy
     decrease with dissipation accounted, exact mass balance, strict
     positivity, dissipation lower bound).  ``audit_mode`` is "enforce"
-    (violations abort with ``AuditFailure`` carrying the partial result),
-    "warn", or "off".  A step whose nonlinear solve diverges is retried
+    (the first violation aborts with ``AuditFailure`` carrying the partial
+    result) or "off" (no audits run), so a run that returns has passed
+    every audit it ran.  A step whose nonlinear solve diverges is retried
     with the step size halved, up to five times, before the run aborts
     with ``SimulationAborted``; subsequent steps return to the nominal
     step size.
@@ -521,8 +517,8 @@ def run_simulation(
     supplies its record, its production integral and the start of the next
     step.
     """
-    if audit_mode not in ("enforce", "warn", "off"):
-        raise ValidationError("audit_mode", "must be 'enforce', 'warn' or 'off'")
+    if audit_mode not in ("enforce", "off"):
+        raise ValidationError("audit_mode", "must be 'enforce' or 'off'")
     if record_every < 1:
         raise ValidationError("record_every", "must be a positive integer")
     if not params.eps > 0.0:
@@ -532,7 +528,7 @@ def run_simulation(
     cf = full_concentrations(c)
     masses0 = integrate(grid, cf)
     reference = masses0 / masses0.sum()
-    work = _Workspace(spec, grid)
+    work = _Workspace(spec, grid, params.eps)
     slack = solver_slack(params.picard_tol, spec.n_reduced, grid.cells)
     result = SimulationResult(
         spec=spec,
@@ -598,13 +594,12 @@ def run_simulation(
             if not verdict.passed:
                 names = ("entropy", "mass", "bounds", "dissipation")
                 failed = [n for n in names if not getattr(verdict, f"{n}_ok")]
-                msg = f"step {k} violated: {', '.join(failed)}"
-                if audit_mode == "enforce":
-                    result.c, result.w = c_new, w_new
-                    result.t_final, result.steps = t, k
-                    result.records.append(new_record)
-                    raise AuditFailure(msg, partial=result)
-                warnings.warn(msg, RuntimeWarning, stacklevel=2)
+                result.c, result.w = c_new, w_new
+                result.t_final, result.steps = t, k
+                result.records.append(new_record)
+                raise AuditFailure(
+                    f"step {k} violated: {', '.join(failed)}", partial=result
+                )
         c, w, record = c_new, w_new, new_record
         result.c, result.w = c, w
         result.t_final, result.steps = t, k

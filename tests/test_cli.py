@@ -17,7 +17,7 @@ import msdiff.cli
 from msdiff import AuditFailure, SimulationAborted
 from msdiff.cli import main, run_scenario
 from msdiff.config import config_from_pairs
-from test_stepper import FIVE_SPECIES, failing_verdict
+from test_stepper import FIVE_SPECIES
 
 TS_HEADER_3 = (
     "time,entropy,relative_entropy,dissipation_raw,dissipation_sqrt,"
@@ -171,7 +171,6 @@ def homogeneous_configs(draw):
         ("tau", repr(tau)),
         ("t_end", repr(5 * tau)),
         ("initial", initial),
-        ("emit_timeseries", "false"),
     ]
 
 
@@ -232,6 +231,23 @@ class TestErrorExits:
         assert main(run_args(out, "--override", "emit_snapshots=false")) == 64
         err = capsys.readouterr().err
         assert "configuration error: emit_snapshots: unknown key" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "override,message",
+        [
+            ("audit=warn", "audit: must be 'enforce' or 'off'"),
+            ("emit_timeseries=false", "emit_timeseries: unknown key"),
+            ("emit_audit_json=false", "emit_audit_json: unknown key"),
+        ],
+    )
+    def test_retired_run_switches_exit_64_before_writing(
+        self, tmp_path, capsys, override, message
+    ):
+        # a run passes every audit or stops, and always writes every file
+        out = tmp_path / "out"
+        assert main(run_args(out, "--override", override)) == 64
+        assert f"configuration error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("eta", ["1e-16", "5e-15"])
@@ -295,20 +311,6 @@ class TestFailureExitPaths:
         assert run_scenario(config) == 2
         summary = json.loads((tmp_path / "run_summary.json").read_text())
         assert summary["exit_status"] == 2
-
-    def test_warn_mode_failures_exit_two(self, tmp_path, monkeypatch):
-        config = self.heat_config(tmp_path)
-        real = msdiff.cli.run_simulation
-
-        def tainted(*args, **kwargs):
-            result = real(*args, **kwargs)
-            result.verdicts.append(failing_verdict(result.t_final))
-            return result
-
-        monkeypatch.setattr(msdiff.cli, "run_simulation", tainted)
-        assert run_scenario(config) == 2
-        summary = json.loads((tmp_path / "run_summary.json").read_text())
-        assert summary["audits_passed"] is False
 
 
 class TestCertifyCommand:

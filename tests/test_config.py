@@ -95,11 +95,16 @@ class TestParseConfig:
             ("D=1,-2,3", "D"),
             ("D=", "D"),
             ("audit=quiet", "audit"),
+            # retired: a run either passes every audit or raises
+            ("audit=warn", "audit"),
             # a retired key, rejected as unknown whatever its value
             ("damping_theta=0", "damping_theta"),
             ("damping_theta=2", "damping_theta"),
             ("production=fission", "production"),
             ("emit_audit_json=yes", "emit_audit_json"),
+            # retired switches: run always writes both files
+            ("emit_timeseries=false", "emit_timeseries"),
+            ("emit_audit_json=false", "emit_audit_json"),
             ("seed=-1", "seed"),
             ("t_end=-2", "t_end"),
         ],
@@ -108,11 +113,6 @@ class TestParseConfig:
         with pytest.raises(ValidationError) as info:
             parse(MINIMAL + "\n" + line)
         assert info.value.key == key
-
-    def test_bool_keys(self):
-        config = parse(MINIMAL + "\nemit_audit_json=false\nemit_timeseries=true")
-        assert config.emit_audit_json is False
-        assert config.emit_timeseries is True
 
     def test_quaternary_law_needs_five_species(self):
         with pytest.raises(ValidationError) as info:

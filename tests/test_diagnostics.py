@@ -7,22 +7,18 @@ import pytest
 
 import msdiff.stepper
 from msdiff import (
-    BadReference,
+    AuditFailure,
     DiagnosticsRecord,
-    DissipationContractViolation,
     Grid1D,
     InadmissibleState,
-    InconsistentFields,
     InsufficientData,
     MixtureSpec,
     NonPositiveEntropy,
     ProductionLaw,
+    SchemeParams,
     audit_step,
     c_to_w,
     config_from_pairs,
-    dissipation,
-    entropy_functional,
-    entropy_hessian_inverse,
     face_gradient,
     fit_decay_rate,
     full_concentrations,
@@ -31,23 +27,34 @@ from msdiff import (
     mobility_matrix,
     production_rates,
     reconstruct_fluxes,
-    relative_entropy,
     run_simulation,
     solver_slack,
     w_to_c,
 )
 from msdiff.diagnostics import _dissipation, _entropy, _relative_entropy
-from msdiff.mixture import _w_to_cf
+from msdiff.mixture import _hessian_inverse, _w_to_cf
 from test_grid import dense_laplacian
 from test_mixture import equal_d_spec, ternary_123_spec
 
 
+def entropy_of(grid, c):
+    return _entropy(grid, full_concentrations(c))
+
+
+def relative_entropy_of(grid, c, reference):
+    return _relative_entropy(grid, full_concentrations(c), np.asarray(reference))
+
+
+def dissipation_of(spec, grid, c, w):
+    return _dissipation(grid, mobility_matrix(spec, c), full_concentrations(c), w)
+
+
 def make_record(grid, spec, t, c, w, iterations=1):
-    raw, sq = dissipation(spec, grid, c, w, enforce=False)
+    raw, sq = dissipation_of(spec, grid, c, w)
     cf = full_concentrations(c)
     return DiagnosticsRecord(
         time=t,
-        entropy=entropy_functional(grid, c),
+        entropy=entropy_of(grid, c),
         relative_entropy=0.0,
         dissipation_sqrt=sq,
         dissipation_raw=raw,
@@ -71,18 +78,18 @@ class TestEntropyFunctional:
     def test_uniform_ternary(self):
         grid = Grid1D(1.0, 8)
         c = np.full((8, 2), 1 / 3)
-        assert entropy_functional(grid, c) == pytest.approx(-1 - math.log(3.0))
+        assert entropy_of(grid, c) == pytest.approx(-1 - math.log(3.0))
 
     def test_corner_state_scales_with_length(self):
         grid = Grid1D(2.5, 8)
         c = np.tile([1.0, 0.0], (8, 1))
-        assert entropy_functional(grid, c) == pytest.approx(-2.5, abs=1e-13)
+        assert entropy_of(grid, c) == pytest.approx(-2.5, abs=1e-13)
 
     def test_two_cell_mixture(self):
         grid = Grid1D(1.0, 2)
         c = np.array([[0.5, 0.25], [1 / 3, 1 / 3]])
         expected = 0.5 * (-2.0397207708399179) + 0.5 * (-1 - math.log(3.0))
-        assert entropy_functional(grid, c) == pytest.approx(expected, abs=1e-13)
+        assert entropy_of(grid, c) == pytest.approx(expected, abs=1e-13)
         assert expected == pytest.approx(-2.0691665297540137, abs=1e-12)
 
 
@@ -90,7 +97,7 @@ class TestRelativeEntropy:
     def test_zero_at_reference(self):
         grid = Grid1D(1.0, 6)
         c = np.tile([0.2, 0.3], (6, 1))
-        assert relative_entropy(grid, c, [0.2, 0.3, 0.5]) == pytest.approx(
+        assert relative_entropy_of(grid, c, [0.2, 0.3, 0.5]) == pytest.approx(
             0.0, abs=1e-15
         )
 
@@ -98,42 +105,21 @@ class TestRelativeEntropy:
         grid = Grid1D(1.0, 6)
         c = np.tile([0.15, 0.35], (6, 1))
         ref = np.array([0.15, 0.35, 0.5])
-        assert relative_entropy(grid, c, ref) == pytest.approx(0.0, abs=1e-15)
+        assert relative_entropy_of(grid, c, ref) == pytest.approx(0.0, abs=1e-15)
 
     def test_uniform_field_hand_value(self):
         # 1/2 log(3/2) + 1/4 log(3/4) + 1/4 log(3/4), constant in space
         grid = Grid1D(1.0, 2)
         c = np.tile([0.5, 0.25], (2, 1))
         expected = 0.5 * math.log(1.5) + 0.5 * math.log(0.75)
-        got = relative_entropy(grid, c, np.full(3, 1 / 3))
+        got = relative_entropy_of(grid, c, np.full(3, 1 / 3))
         assert got == pytest.approx(expected, abs=1e-14)
         assert got == pytest.approx(0.05889151782819171, abs=1e-12)
 
     def test_nonnegative_on_random_fields(self):
         grid = Grid1D(1.0, 32)
         c, _ = smooth_state(grid, seed=3)
-        assert relative_entropy(grid, c, np.full(3, 1 / 3)) >= 0.0
-
-    def test_bad_reference_rejected(self):
-        grid = Grid1D(1.0, 4)
-        c = np.tile([0.3, 0.3], (4, 1))
-        with pytest.raises(BadReference):
-            relative_entropy(grid, c, [0.5, 0.5])  # wrong length
-        with pytest.raises(BadReference):
-            relative_entropy(grid, c, [0.7, 0.3, 0.0])  # boundary reference
-        with pytest.raises(BadReference):
-            relative_entropy(grid, c, [0.5, 0.4, 0.2])  # sums to 1.1
-
-    def test_inadmissible_field_rejected(self):
-        # outside the simplex the integrand is nan; the check raises instead
-        grid = Grid1D(1.0, 4)
-        ref = np.full(3, 1 / 3)
-        negative = np.tile([0.3, 0.3], (4, 1))
-        negative[2, 0] = -0.1
-        with pytest.raises(InadmissibleState):
-            relative_entropy(grid, negative, ref)
-        with pytest.raises(InadmissibleState):
-            relative_entropy(grid, np.tile([0.7, 0.5], (4, 1)), ref)
+        assert relative_entropy_of(grid, c, np.full(3, 1 / 3)) >= 0.0
 
 
 class TestSolverSlack:
@@ -146,7 +132,7 @@ class TestDissipation:
         grid = Grid1D(1.0, 8)
         spec = ternary_123_spec()
         w = np.tile([0.3, -0.1], (8, 1))
-        raw, sq = dissipation(spec, grid, w_to_c(w), w)
+        raw, sq = dissipation_of(spec, grid, w_to_c(w), w)
         assert raw == 0.0 and sq == 0.0
 
     def test_lower_bound_holds_on_random_states(self):
@@ -154,7 +140,7 @@ class TestDissipation:
         for seed in range(12):
             for spec in (ternary_123_spec(), equal_d_spec(3, d=2.0)):
                 c, w = smooth_state(grid, seed=seed, scale=0.8)
-                raw, sq = dissipation(spec, grid, c, w, enforce=True)
+                raw, sq = dissipation_of(spec, grid, c, w)
                 assert raw >= 4.0 * sq / spec.Delta - 1e-9
                 assert raw > 0.0 and sq > 0.0
 
@@ -163,20 +149,14 @@ class TestDissipation:
         grid = Grid1D(1.0, 16)
         d = 2.5
         c, w = smooth_state(grid, seed=5, scale=0.3)
-        raw_d, _ = dissipation(equal_d_spec(3, d=d), grid, c, w)
-        raw_1, _ = dissipation(equal_d_spec(3, d=1.0), grid, c, w)
+        raw_d, _ = dissipation_of(equal_d_spec(3, d=d), grid, c, w)
+        raw_1, _ = dissipation_of(equal_d_spec(3, d=1.0), grid, c, w)
         assert raw_d == pytest.approx(raw_1 / d, rel=1e-12)
-
-    def test_mismatched_fields_rejected(self):
-        grid = Grid1D(1.0, 8)
-        spec = ternary_123_spec()
-        c, w = smooth_state(grid, seed=7)
-        with pytest.raises(InconsistentFields):
-            dissipation(spec, grid, c + 1e-3, w)
 
     def test_forced_contract_violation_raises(self):
         # a spec lying about its band width makes the proved bound fail;
-        # the guard must catch it rather than return quietly
+        # the audit must flag it, and an enforcing run stop on it, rather
+        # than pass quietly
         grid = Grid1D(1.0, 16)
         honest = ternary_123_spec()
         liar = MixtureSpec(
@@ -188,10 +168,20 @@ class TestDissipation:
             production=ProductionLaw.zero(),
         )
         c, w = smooth_state(grid, seed=9, scale=0.8)
-        with pytest.raises(DissipationContractViolation):
-            dissipation(liar, grid, c, w, enforce=True)
-        raw, sq = dissipation(liar, grid, c, w, enforce=False)
-        assert raw < 4.0 * sq / liar.Delta
+        record = make_record(grid, liar, 0.0, c, w)
+        assert record.dissipation_raw < 4.0 * record.dissipation_sqrt / liar.Delta
+        slack = solver_slack(1e-10, 2, 16)
+        verdict = audit_step(liar, grid, 1e-3, 1e-8, slack, record, record, w)
+        assert not verdict.dissipation_ok and not verdict.passed
+        assert verdict.dissipation_margin < 0.0
+        honest_verdict = audit_step(
+            honest, grid, 1e-3, 1e-8, slack, record, record, w
+        )
+        assert honest_verdict.dissipation_ok
+        params = SchemeParams(tau=1e-3, t_end=3e-3)
+        with pytest.raises(AuditFailure, match="step 1 violated: .*dissipation"):
+            run_simulation(liar, grid, params, c)
+        assert all(v.passed for v in run_simulation(honest, grid, params, c).verdicts)
 
 
 class TestReconstructFluxes:
@@ -462,7 +452,7 @@ class TestAuditStep:
 class TestCarriedEvaluation:
     def test_run_records_match_public_diagnostics_bitwise(self, monkeypatch):
         # the solver's evaluation of each accepted state feeds the record;
-        # its first N fractions agree to the last bit with the public checked
+        # its first N fractions agree to the last bit with the public
         # functions, and the record reads all N+1 through the private kernels
         steps = []
         advance = msdiff.stepper.advance_step
@@ -487,7 +477,7 @@ class TestCarriedEvaluation:
             assert state.w is step.w
             assert np.array_equal(state.c, c)
             assert np.array_equal(state.cf, cf)
-            assert np.array_equal(state.hinv, entropy_hessian_inverse(c))
+            assert np.array_equal(state.hinv, _hessian_inverse(c))
             assert np.array_equal(state.B, mobility_matrix(spec, c))
             assert np.array_equal(
                 state.r, production_rates(spec.production, cf)[:, :n]

@@ -29,7 +29,6 @@ from msdiff import (
     WrongSpeciesCount,
     c_to_w,
     diffusivity_matrix_from_upper,
-    entropy_hessian_inverse,
     friction_matrix,
     friction_matrix_symmetric,
     full_concentrations,
@@ -284,7 +283,7 @@ class TestEntropy:
         assert h[0] == pytest.approx(-1.0 - math.log(3.0))
 
     def test_hessian_inverse_hand_computed(self):
-        Hinv = entropy_hessian_inverse(np.array([1 / 3, 1 / 3]))
+        Hinv = _hessian_inverse(np.array([1 / 3, 1 / 3]))
         expected = np.array([[2.0, -1.0], [-1.0, 2.0]]) / 9.0
         np.testing.assert_allclose(Hinv, expected, atol=1e-15)
 
@@ -294,7 +293,7 @@ class TestEntropy:
             c = random_interior_state(rng, 4)
             # the entropy Hessian h_ij = 1/c_{N+1} + delta_ij / c_i
             H = 1.0 / (1.0 - c.sum()) + np.diag(1.0 / c)
-            Hinv = entropy_hessian_inverse(c)
+            Hinv = _hessian_inverse(c)
             np.testing.assert_allclose(H @ Hinv, np.eye(3), atol=1e-10)
 
     @pytest.mark.parametrize(
@@ -308,7 +307,7 @@ class TestEntropy:
         # diag(c) - c c^T in rational arithmetic from the same float state;
         # c_i - c_i**2 would cancel to a relative error of about 1e-9 here
         c = np.array(c)
-        Hinv = entropy_hessian_inverse(c)
+        Hinv = _hessian_inverse(c)
         for i, ci in enumerate(c):
             for j, cj in enumerate(c):
                 exact = (Fraction(ci) if i == j else 0) - Fraction(ci) * Fraction(cj)
@@ -318,7 +317,7 @@ class TestEntropy:
     def test_hessian_inverse_vanishes_with_component(self):
         # diag(c) - c (x) c: row/column i scales with c_i, so a zeroed
         # component zeroes its row and column instead of blowing up.
-        Hinv = entropy_hessian_inverse(np.array([0.0, 0.5]))
+        Hinv = _hessian_inverse(np.array([0.0, 0.5]))
         assert np.all(Hinv[0, :] == 0.0) and np.all(Hinv[:, 0] == 0.0)
 
 
@@ -364,7 +363,7 @@ def sampled_spec_and_states(n_species, seed, batch):
 def lapack_reference(spec, c):
     """A0^-1 and B = A0^-1 H^-1 by LAPACK inverse and matrix product."""
     inv = np.linalg.inv(reduced_friction_matrix(spec, c))
-    return inv, inv @ entropy_hessian_inverse(c)
+    return inv, inv @ _hessian_inverse(c)
 
 
 class TestClosedFormTernary:
@@ -401,7 +400,7 @@ class TestClosedFormTernary:
         with pytest.raises(SingularA0):
             _inverse_friction(spec, c)
         with pytest.raises(SingularA0):
-            _mobility(spec, c, entropy_hessian_inverse(np.zeros((2, 2))))
+            _mobility(spec, c, _hessian_inverse(np.zeros((2, 2))))
 
 
 # Reference state kernels: numpy reductions and broadcasts along the short
