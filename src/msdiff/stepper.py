@@ -181,9 +181,10 @@ class SimulationResult:
     and final states; ``verdicts`` covers every accepted step.  The running
     sums ``w_time_integral`` and ``production_time_integral`` accumulate
     tau * integral(w) and tau * integral(r) over all steps, which together
-    predict the exact per-species mass drift.  ``clamp_count`` exists so
-    downstream reports can state it: the scheme never projects or clips a
-    state, so it stays zero.
+    predict the exact per-species mass drift.  ``picard_iterations_total``
+    sums the inner iterations of the ``steps`` counted, a step whose audit
+    failed included.  ``clamp_count`` exists so downstream reports can
+    state it: the scheme never projects or clips a state, so it stays zero.
     """
 
     spec: MixtureSpec
@@ -201,6 +202,7 @@ class SimulationResult:
     production_time_integral: np.ndarray | None = None
     clamp_count: int = 0
     tau_retries: int = 0
+    picard_iterations_total: int = 0
 
 
 def regularize_initial(spec: MixtureSpec, c0: np.ndarray, eta: float) -> np.ndarray:
@@ -573,6 +575,8 @@ def run_simulation(
                     )
         k += 1
         t += tau_k
+        result.t_final, result.steps = t, k
+        result.picard_iterations_total += step.iterations
         state = step.state
         c_new, w_new = state.c, state.w
         store = k % record_every == 0
@@ -595,14 +599,12 @@ def run_simulation(
                 names = ("entropy", "mass", "bounds", "dissipation")
                 failed = [n for n in names if not getattr(verdict, f"{n}_ok")]
                 result.c, result.w = c_new, w_new
-                result.t_final, result.steps = t, k
                 result.records.append(new_record)
                 raise AuditFailure(
                     f"step {k} violated: {', '.join(failed)}", partial=result
                 )
         c, w, record = c_new, w_new, new_record
         result.c, result.w = c, w
-        result.t_final, result.steps = t, k
         if hooks:
             for hook in hooks:
                 hook(k, t, state.cf, w, record)

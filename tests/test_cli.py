@@ -1,5 +1,6 @@
 """Command-line front end: exit codes, artifact formats, determinism."""
 
+import dataclasses
 import filecmp
 import json
 import os
@@ -14,9 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import msdiff.cli
-from msdiff import AuditFailure, SimulationAborted
+import msdiff.stepper
+from msdiff import (
+    AuditFailure,
+    SimulationAborted,
+    certify_friction_spectrum,
+    certify_reduced_spectrum,
+    mobility_matrix,
+)
 from msdiff.cli import main, run_scenario
-from msdiff.config import config_from_pairs
+from msdiff.config import config_from_pairs, materialize_spec
 from test_stepper import FIVE_SPECIES
 
 TS_HEADER_3 = (
@@ -312,6 +320,29 @@ class TestFailureExitPaths:
         summary = json.loads((tmp_path / "run_summary.json").read_text())
         assert summary["exit_status"] == 2
 
+    def test_iteration_total_counts_the_failing_step(self, tmp_path, monkeypatch):
+        config = self.heat_config(tmp_path)
+        assert config.record_every == 1
+        real = msdiff.stepper.audit_step
+        verdicts = []
+
+        def mass_fails_at_step_2(*args, **kwargs):
+            verdict = real(*args, **kwargs)
+            verdicts.append(verdict)
+            if len(verdicts) == 2:
+                verdict = dataclasses.replace(verdict, mass_ok=False)
+            return verdict
+
+        monkeypatch.setattr(msdiff.stepper, "audit_step", mass_fails_at_step_2)
+        assert run_scenario(config) == 2
+        summary = json.loads((tmp_path / "run_summary.json").read_text())
+        assert summary["steps"] == 2
+        assert summary["abort"] == "step 2 violated: mass"
+        rows = (tmp_path / "timeseries.csv").read_text().splitlines()[1:]
+        iterations = [int(row.rpartition(",")[2]) for row in rows]
+        assert len(iterations) == 3 and iterations[2] > 0
+        assert summary["picard_iterations_total"] == sum(iterations)
+
 
 class TestCertifyCommand:
     def test_small_sample_batch(self, tmp_path, capsys):
@@ -363,11 +394,12 @@ class TestCertifyCommand:
         assert main(args) == 0
         assert json.loads((tmp_path / "certify.json").read_text())["all_passed"]
 
-    def test_certify_deterministic_for_seed(self, tmp_path):
+    @pytest.mark.parametrize("preset", ["heat_check", "quaternary_reaction"])
+    def test_certify_deterministic_for_seed(self, tmp_path, preset):
         args = lambda d: [
             "certify",
             "--preset",
-            "heat_check",
+            preset,
             "--override",
             "samples=10",
             "--seed",
@@ -380,6 +412,61 @@ class TestCertifyCommand:
         assert (tmp_path / "a" / "certify.json").read_bytes() == (
             tmp_path / "b" / "certify.json"
         ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "preset", ["heat_check", "ternary_uphill", "quaternary_reaction"]
+    )
+    def test_entries_equal_per_sample_checked_loop(
+        self, tmp_path, monkeypatch, preset
+    ):
+        config = config_from_pairs(
+            [("scenario", preset), ("samples", "40"), ("seed", "5"),
+             ("output_dir", str(tmp_path))]
+        )
+        checked = []
+        real = msdiff.cli.certify_friction_spectrum
+
+        def recording(spec, c):
+            checked.append(c.tolist())
+            return real(spec, c)
+
+        monkeypatch.setattr(msdiff.cli, "certify_friction_spectrum", recording)
+        assert msdiff.cli.certify(config) == 0
+        results = json.loads((tmp_path / "certify.json").read_text())["results"]
+
+        # one draw and one set of public checked calls per sample
+        spec = materialize_spec(config)
+        rng = np.random.default_rng(5)
+        n1 = spec.n_species
+        expected = []
+        for i in range(40):
+            cf = rng.dirichlet(np.ones(n1))
+            c = (1.0 - n1 * 1e-12) * cf[:-1] + 1e-12
+            rep_f = certify_friction_spectrum(spec, c)
+            rep_r = certify_reduced_spectrum(spec, c)
+            B = mobility_matrix(spec, c)
+            scale = max(1.0, float(np.max(np.abs(B))))
+            sym_residual = float(np.max(np.abs(B - B.T))) / scale
+            min_eig = float(np.linalg.eigvalsh(0.5 * (B + B.T))[0])
+            spd = sym_residual <= 1e-10 and min_eig > 0.0
+            expected.append(
+                {
+                    "sample": i,
+                    "c": list(c),
+                    "friction_eigenvalues": list(rep_f.eigenvalues),
+                    "friction_zero_multiplicity": rep_f.zero_multiplicity,
+                    "friction_in_band": rep_f.in_band,
+                    "reduced_eigenvalues": list(rep_r.eigenvalues),
+                    "reduced_in_band": rep_r.in_band,
+                    "mobility_symmetry_residual": sym_residual,
+                    "mobility_min_eigenvalue": min_eig,
+                    "mobility_spd": spd,
+                    "passed": rep_f.in_band and rep_r.in_band and spd,
+                }
+            )
+        assert results == expected
+        # the state check runs once per sample, in sample order
+        assert checked == [entry["c"] for entry in results]
 
 
 def run_module(*args):

@@ -18,6 +18,7 @@ from msdiff import (
     new_mixture_spec,
     symmetric_spectrum,
 )
+from msdiff.spectra import _band_report
 from test_mixture import equal_d_spec, random_interior_state, ternary_123_spec
 
 
@@ -89,6 +90,30 @@ class TestReducedCertificate:
         report = certify_reduced_spectrum(ternary_123_spec(), np.zeros(2))
         np.testing.assert_allclose(report.eigenvalues, [1.0 / 3.0, 0.5], atol=1e-14)
         assert report.in_band
+
+
+class TestBandEdges:
+    """The band test on hand-placed spectra: zeros within tol are counted,
+    the lower edge is widened by tol, the upper edge is strict, and a NaN
+    is neither a zero nor inside the band."""
+
+    spec = ternary_123_spec()  # delta 1/3, Delta 22/3
+
+    @pytest.mark.parametrize(
+        "extra, zeros, in_band",
+        [
+            ([], 1, True),
+            ([1e-10], 2, True),
+            ([spec.delta - 1e-9 * spec.Delta], 1, True),
+            ([0.3], 1, False),
+            ([spec.Delta], 1, False),
+            ([np.nan], 1, False),
+        ],
+    )
+    def test_edges(self, extra, zeros, in_band):
+        report = _band_report(self.spec, np.array([0.0, 1.0, 7.0] + extra))
+        assert report.zero_multiplicity == zeros
+        assert report.in_band is in_band
 
 
 class TestRandomCertification:
