@@ -13,7 +13,6 @@ Exit codes: 0 clean, 1 solver abort, 2 audit or certification failure,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -49,7 +48,7 @@ from .mixture import (
     _w_to_cf,
 )
 from .scenarios import PRESETS, heat_analytic
-from .spectra import _reduced_report, certify_friction_spectrum
+from .spectra import _band_test, _reduced_spectra, certify_friction_spectrum
 from .stepper import SimulationResult, regularize_initial, run_simulation
 
 
@@ -161,10 +160,6 @@ def _write_timeseries(path: Path, records) -> None:
         parts += [_f(r.min_c), str(r.picard_iterations)]
         lines.append(",".join(parts))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _verdict_dict(v) -> dict:
-    return dict(dataclasses.asdict(v), passed=v.passed)
 
 
 def _analytic_l2_error(config: RunConfig, spec, grid, params, result) -> float | None:
@@ -315,7 +310,7 @@ def run_scenario(config: RunConfig) -> int:
         audit,
         {
             "audit_mode": config.audit,
-            "verdicts": [_verdict_dict(v) for v in result.verdicts],
+            "verdicts": [dict(vars(v), passed=v.passed) for v in result.verdicts],
         },
     )
     summary = _build_summary(
@@ -341,8 +336,9 @@ def certify(config: RunConfig) -> int:
     the AND of ``friction_in_band``, ``reduced_in_band`` and
     ``mobility_spd``.  All samples come from one seeded Dirichlet draw, so a
     seed reproduces ``certify.json`` byte for byte.  Each state is checked
-    once, by ``certify_friction_spectrum``; the reduced spectrum and the
-    mobility read the same state unchecked.
+    once, by ``certify_friction_spectrum``, in sample order; the reduced
+    spectra and mobilities of all states follow unchecked, from
+    ``_reduced_spectra`` and ``_mobility`` on one stack of A0 matrices.
     """
     try:
         spec = materialize_spec(config)
@@ -355,31 +351,43 @@ def certify(config: RunConfig) -> int:
     cf = rng.dirichlet(np.ones(n1), size=config.samples)
     states = (1.0 - n1 * floor) * cf[:, :-1] + floor
     results = []
-    all_passed = True
     for i, c in enumerate(states):
-        rep_f = certify_friction_spectrum(spec, c)
-        rep_r = _reduced_report(spec, _reduced_friction(spec, c))
-        B = _mobility(spec, c, _hessian_inverse(c))
-        scale = max(1.0, float(np.abs(B).max()))
-        sym_residual = float(np.abs(B - B.T).max()) / scale
-        min_eig = float(np.linalg.eigvalsh(0.5 * (B + B.T))[0])
-        spd = sym_residual <= 1e-10 and min_eig > 0.0
-        passed = rep_f.in_band and rep_r.in_band and spd
-        all_passed = all_passed and passed
+        rep = certify_friction_spectrum(spec, c)
         results.append(
             {
                 "sample": i,
                 "c": c.tolist(),
-                "friction_eigenvalues": rep_f.eigenvalues.tolist(),
-                "friction_zero_multiplicity": rep_f.zero_multiplicity,
-                "friction_in_band": rep_f.in_band,
-                "reduced_eigenvalues": rep_r.eigenvalues.tolist(),
-                "reduced_in_band": rep_r.in_band,
-                "mobility_symmetry_residual": sym_residual,
-                "mobility_min_eigenvalue": min_eig,
-                "mobility_spd": spd,
-                "passed": passed,
+                "friction_eigenvalues": rep.eigenvalues.tolist(),
+                "friction_zero_multiplicity": rep.zero_multiplicity,
+                "friction_in_band": rep.in_band,
             }
+        )
+    # built from states[:, None, :], each A0 takes the vector-matrix product
+    # of a one-state call bit for bit; an (S, N) @ (N, N) product rounds otherwise
+    A0 = _reduced_friction(spec, states[:, None, :])[:, 0]
+    B = _mobility(spec, states, _hessian_inverse(states), A0)
+    Bt = B.transpose(0, 2, 1)
+    scale = np.maximum(1.0, np.abs(B).max(axis=(1, 2)))
+    batch = zip(
+        results,
+        _reduced_spectra(spec, A0).tolist(),
+        (np.abs(B - Bt).max(axis=(1, 2)) / scale).tolist(),
+        np.linalg.eigvalsh(0.5 * (B + Bt))[:, 0].tolist(),
+    )
+    del A0, B, Bt  # the JSON encoding below sets the peak memory
+    all_passed = True
+    for entry, vals, sym_residual, min_eig in batch:
+        reduced_in_band = _band_test(spec, vals)[1]
+        spd = sym_residual <= 1e-10 and min_eig > 0.0
+        passed = entry["friction_in_band"] and reduced_in_band and spd
+        all_passed = all_passed and passed
+        entry.update(
+            reduced_eigenvalues=vals,
+            reduced_in_band=reduced_in_band,
+            mobility_symmetry_residual=sym_residual,
+            mobility_min_eigenvalue=min_eig,
+            mobility_spd=spd,
+            passed=passed,
         )
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)

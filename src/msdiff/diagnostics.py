@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import DimensionMismatch, InsufficientData, NonPositiveEntropy
 from .grid import Grid1D, divergence, face_gradient, integrate
@@ -30,6 +29,7 @@ from .mixture import (
     _entropy_density,
     _inverse_friction,
     _require_admissible,
+    _xlogx,
 )
 
 
@@ -89,7 +89,7 @@ def _relative_entropy(grid: Grid1D, cf: np.ndarray, reference: np.ndarray) -> fl
     Kullback-Leibler divergence, hence nonnegative, and vanishes exactly
     when the field equals the reference everywhere.
     """
-    dens = np.sum(xlogy(cf, cf) - cf * np.log(reference), axis=-1)
+    dens = np.sum(_xlogx(cf) - cf * np.log(reference), axis=-1)
     return float(integrate(grid, dens))
 
 

@@ -41,7 +41,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import (
     DimensionMismatch,
@@ -336,19 +335,19 @@ _SINGULAR_A0 = (
 )
 
 
-def _inverse_friction(spec: MixtureSpec, c: np.ndarray) -> np.ndarray:
+def _inverse_friction(spec: MixtureSpec, c: np.ndarray, A0=None) -> np.ndarray:
     """Inverse of A0(c) at an admissible float state, unchecked.
 
     Three species (N = 2) use the closed form ``adj(A0) / det(A0)``; more
-    species use LAPACK's LU factorization with partial pivoting.  Both are
-    safe on the closed simplex: the eigenvalues of A0 lie in
-    ``[delta, Delta)``, so ``det(A0) >= delta**N > 0``.
+    species use LAPACK's LU factorization with partial pivoting of ``A0``,
+    built from c unless given.  Both are safe on the closed simplex: the
+    eigenvalues of A0 lie in ``[delta, Delta)``, so ``det(A0) >= delta**N > 0``.
     """
     if spec.n_reduced == 2:
         adj, det = _adjugate2(spec, c)
         return adj / det[..., None, None]
     try:
-        return np.linalg.inv(_reduced_friction(spec, c))
+        return np.linalg.inv(_reduced_friction(spec, c) if A0 is None else A0)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
         raise SingularA0(_SINGULAR_A0) from exc
 
@@ -399,13 +398,18 @@ def reduced_friction_inverse_bound(spec: MixtureSpec) -> float:
 # entropy structure
 
 
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    """``x log x`` of fractions ``x >= 0``; ``0 log 0 = 0``, without a warning."""
+    return x * np.log(np.where(x == 0.0, 1.0, x))
+
+
 def _entropy_density(cf: np.ndarray) -> np.ndarray:
     """Mixture entropy density ``sum_i c_i (log c_i - 1)`` from all N+1
     fractions ``cf`` of admissible states, one scalar per state.
 
     Defined on the closed simplex with the convention ``0 log 0 = 0``.
     """
-    return np.sum(xlogy(cf, cf), axis=-1) - 1.0
+    return np.sum(_xlogx(cf), axis=-1) - 1.0
 
 
 def _hessian_inverse(c: np.ndarray) -> np.ndarray:
@@ -449,11 +453,13 @@ def mobility_matrix(spec: MixtureSpec, c: np.ndarray) -> np.ndarray:
     return _mobility(spec, c, _hessian_inverse(c))
 
 
-def _mobility(spec: MixtureSpec, c: np.ndarray, hinv: np.ndarray) -> np.ndarray:
+def _mobility(
+    spec: MixtureSpec, c: np.ndarray, hinv: np.ndarray, A0=None
+) -> np.ndarray:
     """``mobility_matrix`` of an admissible float state, unchecked, reusing
-    its Hessian inverse ``hinv``."""
+    its Hessian inverse ``hinv`` and, for N >= 3, its ``A0`` if given."""
     if spec.n_reduced != 2:
-        return _inverse_friction(spec, c) @ hinv
+        return _inverse_friction(spec, c, A0) @ hinv
     adj, det = _adjugate2(spec, c)
     a00, a01 = adj[..., 0, 0], adj[..., 0, 1]
     a10, a11 = adj[..., 1, 0], adj[..., 1, 1]

@@ -83,11 +83,12 @@ def certify_reduced_spectrum(spec: MixtureSpec, c: np.ndarray) -> SpectrumReport
     the provable statement is that they all sit inside
     ``[delta - tol, Delta)`` with no zero among them.
     """
-    return _reduced_report(spec, reduced_friction_matrix(spec, c))
+    return _band_report(spec, _reduced_spectra(spec, reduced_friction_matrix(spec, c)))
 
 
-def _reduced_report(spec: MixtureSpec, A0: np.ndarray) -> SpectrumReport:
-    """``certify_reduced_spectrum`` of the reduced friction matrix itself."""
+def _reduced_spectra(spec: MixtureSpec, A0: np.ndarray) -> np.ndarray:
+    """Sorted real spectra of the reduced friction matrices ``A0``, one
+    ``(N, N)`` matrix or a stack of them, from one eigensolver call."""
     vals = np.linalg.eigvals(A0)
     max_imag = np.abs(vals.imag).max(initial=0.0)
     if max_imag > max(1e-9 * spec.Delta, 1e-12 * max(1.0, spec.Delta)):
@@ -95,26 +96,32 @@ def _reduced_report(spec: MixtureSpec, A0: np.ndarray) -> SpectrumReport:
             f"reduced spectrum has imaginary parts up to {max_imag:.3e}; "
             "it is provably real, so the input state must be corrupted"
         )
-    return _band_report(spec, np.sort(vals.real))
+    return np.sort(vals.real)
 
 
 def _band_report(spec: MixtureSpec, vals: np.ndarray) -> SpectrumReport:
-    """Zero count and band test of the sorted real spectrum ``vals``, in
-    plain floats; a NaN fails the band test."""
-    tol = 1e-9 * spec.Delta
-    low = spec.delta - tol
-    zeros = 0
-    in_band = True
-    for v in vals.tolist():
-        if abs(v) <= tol:
-            zeros += 1
-        elif not low <= v < spec.Delta:
-            in_band = False
+    """Zero count and band test of the sorted real spectrum ``vals``."""
+    zeros, in_band = _band_test(spec, vals.tolist())
     return SpectrumReport(
         eigenvalues=vals,
         zero_multiplicity=zeros,
         in_band=in_band,
         delta=spec.delta,
         Delta=spec.Delta,
-        tol=tol,
+        tol=1e-9 * spec.Delta,
     )
+
+
+def _band_test(spec: MixtureSpec, vals: list[float]) -> tuple[int, bool]:
+    """Zero count and band flag of one spectrum in plain floats; a NaN
+    fails the band test."""
+    tol = 1e-9 * spec.Delta
+    low = spec.delta - tol
+    zeros = 0
+    in_band = True
+    for v in vals:
+        if abs(v) <= tol:
+            zeros += 1
+        elif not low <= v < spec.Delta:
+            in_band = False
+    return zeros, in_band

@@ -413,15 +413,28 @@ class TestCertifyCommand:
             tmp_path / "b" / "certify.json"
         ).read_bytes()
 
+    # N = 3 and N = 6 with unequal D are where A0 batched as one
+    # (S, N) @ (N, N) product rounds otherwise than the one-state product
     @pytest.mark.parametrize(
-        "preset", ["heat_check", "ternary_uphill", "quaternary_reaction"]
+        "mixture, samples",
+        [
+            ([("scenario", "heat_check")], 40),
+            ([("scenario", "ternary_uphill")], 40),
+            ([("scenario", "quaternary_reaction")], 40),
+            ([("species", "4"), ("D", "0.5,1.25,2,0.8,3.5,1.1")], 40),
+            ([("species", "7"),
+              ("D", ",".join(str(0.5 + 0.37 * k) for k in range(21)))], 40),
+            ([("scenario", "quaternary_reaction")], 1),
+        ],
+        ids=["heat_check", "ternary_uphill", "quaternary_reaction",
+             "species_4", "species_7", "samples_1"],
     )
     def test_entries_equal_per_sample_checked_loop(
-        self, tmp_path, monkeypatch, preset
+        self, tmp_path, monkeypatch, mixture, samples
     ):
         config = config_from_pairs(
-            [("scenario", preset), ("samples", "40"), ("seed", "5"),
-             ("output_dir", str(tmp_path))]
+            mixture + [("samples", str(samples)), ("seed", "5"),
+                       ("output_dir", str(tmp_path))]
         )
         checked = []
         real = msdiff.cli.certify_friction_spectrum
@@ -439,7 +452,7 @@ class TestCertifyCommand:
         rng = np.random.default_rng(5)
         n1 = spec.n_species
         expected = []
-        for i in range(40):
+        for i in range(samples):
             cf = rng.dirichlet(np.ones(n1))
             c = (1.0 - n1 * 1e-12) * cf[:-1] + 1e-12
             rep_f = certify_friction_spectrum(spec, c)

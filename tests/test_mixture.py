@@ -48,6 +48,7 @@ from msdiff.mixture import (
     _require_admissible,
     _require_strict,
     _w_to_cf,
+    _xlogx,
 )
 
 
@@ -275,6 +276,19 @@ class TestEntropy:
         h = entropy_density(np.array([0.5, 0.25]))
         assert h == pytest.approx(expected, abs=1e-14)
         assert h == pytest.approx(-2.0397207708399179, abs=1e-12)
+
+    def test_xlogx_within_two_ulps_of_xlogy(self):
+        # numpy's log and the C library's each round within an ulp; zeros
+        # and subnormals included, and a RuntimeWarning fails the suite
+        from scipy.special import xlogy
+
+        x = np.concatenate(
+            [[0.0, 5e-324, 1e-310, 1e-300, 1.0],
+             np.random.default_rng(0).uniform(0.0, 1.0, 10000)]
+        )
+        got = _xlogx(x)
+        assert got[0] == 0.0 and got[4] == 0.0
+        np.testing.assert_array_max_ulp(got, xlogy(x, x), maxulp=2)
 
     def test_density_vectorized_over_cells(self):
         c = np.array([[1 / 3, 1 / 3], [0.5, 0.25]])

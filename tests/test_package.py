@@ -1,4 +1,9 @@
-"""The package namespace: what ``msdiff.__all__`` exports."""
+"""The package namespace: what ``msdiff.__all__`` exports and what
+importing it loads."""
+
+import subprocess
+import sys
+from pathlib import Path
 
 import msdiff
 
@@ -26,3 +31,17 @@ def test_retired_names_are_gone():
         "relative_entropy",
     ):
         assert not hasattr(msdiff, name), name
+
+
+def test_import_loads_no_special_module():
+    # scipy.special adds about 50 ms to every import; the entropy kernels
+    # take x log x from numpy instead
+    src = str(Path(msdiff.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import msdiff; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
