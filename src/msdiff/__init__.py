@@ -25,7 +25,6 @@ from .diagnostics import (
     solver_slack,
 )
 from .errors import (
-    AuditError,
     AuditFailure,
     DimensionMismatch,
     InadmissibleInitialData,
@@ -33,7 +32,6 @@ from .errors import (
     InconsistentFields,
     InsufficientData,
     InvalidProductionLaw,
-    LinearSolveFailure,
     MsdiffError,
     NonPositiveEntropy,
     NonPositiveOffDiagonal,
@@ -97,7 +95,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EPS_ADMISSIBLE",
-    "AuditError",
     "AuditFailure",
     "AuditVerdict",
     "DiagnosticsRecord",
@@ -108,7 +105,6 @@ __all__ = [
     "InconsistentFields",
     "InsufficientData",
     "InvalidProductionLaw",
-    "LinearSolveFailure",
     "MixtureSpec",
     "MsdiffError",
     "NonPositiveEntropy",

@@ -10,7 +10,7 @@ defaults < preset < file < command line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,8 +109,6 @@ _KEYS = {
     "samples": (_parse_int, lambda v: v >= 0, "must be nonnegative"),
 }
 
-_FIELD_NAMES = {f.name for f in fields(RunConfig)}
-
 
 def scan_config_lines(text: str) -> list[tuple[str, str]]:
     """Split a configuration document into (key, raw value) pairs."""
@@ -157,9 +155,7 @@ def config_from_pairs(pairs: list[tuple[str, str]]) -> RunConfig:
         parsed = convert(key, value)
         if check is not None and not check(parsed):
             raise ValidationError(key, reason)
-        name = "d_upper" if key == "D" else key
-        if name in _FIELD_NAMES:
-            typed[name] = parsed
+        typed["d_upper" if key == "D" else key] = parsed
     for required in ("species", "d_upper"):
         if required not in typed:
             raise ValidationError(

@@ -2,7 +2,8 @@
 
 Construction-time errors signal ill-formed inputs (bad diffusivity matrices,
 inadmissible states, malformed configs).  Runtime errors signal solver
-breakdown (``SimulationAborted``) or a step that failed its audit
+breakdown (``SimulationAborted``, once a step's ``NonlinearDivergence``
+persists through five step-size halvings) or a step that failed its audit
 (``AuditFailure``); a run either finishes with every audit passed or
 raises one of them.  The command line maps the three kinds to the exit
 codes 64, 1 and 2.
@@ -72,21 +73,9 @@ class InconsistentFields(MsdiffError):
     state or parameters."""
 
 
-class LinearSolveFailure(MsdiffError):
-    """Banded Cholesky solve failed or left a large residual."""
-
-
 class NonlinearDivergence(MsdiffError):
-    """Per-step fixed-point iteration never reached its residual floor.
-
-    Raised once the iteration budget is spent, or once the backtracking
-    has failed after three restarts.  Carries the max-norm increment of
-    every accepted iterate of the failed attempt.
-    """
-
-    def __init__(self, message: str, increments: list[float] | None = None):
-        super().__init__(message)
-        self.increments = list(increments or [])
+    """A step attempt failed: its iteration spent its budget or failed the
+    backtracking after three restarts, or one of its banded solves failed."""
 
 
 class SimulationAborted(MsdiffError):
@@ -112,11 +101,7 @@ class NonPositiveEntropy(MsdiffError):
     """Relative entropy already at the noise floor; no decay rate to fit."""
 
 
-class AuditError(MsdiffError):
-    """A runtime invariant check failed beyond its allowed slack."""
-
-
-class AuditFailure(AuditError):
+class AuditFailure(MsdiffError):
     """The per-step audit rejected an accepted step.
 
     ``partial`` holds the trajectory accumulated before the failure.

@@ -31,8 +31,9 @@ trailing axis: that axis is only N long, and numpy would run one tiny
 inner loop per cell, while each column operation covers all cells at once.
 The species sums are added left to right from 0.0, which is numpy's own
 order for up to 7 terms, so the results are bitwise those of
-``np.sum(axis=-1)`` there; from 8 terms on numpy sums pairwise and the two
-differ by a few ulps.
+``np.sum(axis=-1)`` there; from 8 terms on numpy sums pairwise, which moves
+``w_to_c`` by up to 8 ulps, and the results are bitwise those of a sum in
+the kernels' order.
 """
 
 from __future__ import annotations

@@ -57,7 +57,6 @@ from .errors import (
     DimensionMismatch,
     InadmissibleInitialData,
     InconsistentFields,
-    LinearSolveFailure,
     NonlinearDivergence,
     NotStrictlyAdmissible,
     SimulationAborted,
@@ -157,7 +156,7 @@ def _evaluate(spec: MixtureSpec, w: np.ndarray) -> _State:
 
 @dataclass(frozen=True)
 class StepResult:
-    """Converged state of one implicit step plus solver telemetry.
+    """Converged state of one implicit step, its iterations and restarts.
 
     ``state`` is the evaluation of ``w`` that the solver built and checked
     while accepting it; ``run_simulation`` hands it to the step record and
@@ -167,8 +166,6 @@ class StepResult:
 
     w: np.ndarray
     iterations: int
-    final_increment: float
-    linear_residual: float
     restarts: int
     state: _State = field(repr=False, compare=False)
 
@@ -324,27 +321,25 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(float(v @ v))
 
 
-def _solve_checked(
-    ab: np.ndarray, b: np.ndarray, norm_S: float
-) -> tuple[np.ndarray, float]:
+def _solve_checked(ab: np.ndarray, b: np.ndarray, norm_S: float) -> np.ndarray:
     """Solve the banded system by Cholesky and check the solution.
 
-    Returns x and its backward-error residual ||S x - b|| / (||S||_F ||x||
-    + ||b||), with ``norm_S`` = ||S||_F and S x one ``dsbmv`` call on the
-    Fortran-ordered bands.  A failed factorization, a non-finite solution
-    or a residual above 1e-12 raises ``LinearSolveFailure``.
+    A failed factorization, a non-finite solution or a backward-error
+    residual ||S x - b|| / (||S||_F ||x|| + ||b||) above 1e-12 raises
+    ``NonlinearDivergence``; ``norm_S`` is ||S||_F, and S x one ``dsbmv``
+    call on the Fortran-ordered bands.
     """
     try:
         x = solveh_banded(ab, b, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
-        raise LinearSolveFailure(f"banded Cholesky failed: {exc}") from exc
+        raise NonlinearDivergence(f"banded Cholesky failed: {exc}") from exc
     if not np.isfinite(x).all():
-        raise LinearSolveFailure("linear solver produced non-finite values")
+        raise NonlinearDivergence("linear solver produced non-finite values")
     denom = max(norm_S * _norm(x) + _norm(b), 1e-300)
     resid = _norm(_band_matvec(ab, x) - b) / denom
     if resid > 1e-12:
-        raise LinearSolveFailure(f"linear solve residual {resid:.3e} exceeds 1e-12")
-    return x, resid
+        raise NonlinearDivergence(f"linear solve residual {resid:.3e} exceeds 1e-12")
+    return x
 
 
 def advance_step(
@@ -373,10 +368,11 @@ def advance_step(
     the only exit: it certifies a fixed point to working precision, at the
     homogeneous steady state too.
 
-    A failed backtracking search restarts the step from the previous state
-    with the relaxation halved; after three restarts or once the iteration
-    budget is spent the step raises ``NonlinearDivergence``.  The restart
-    is not a duplicate of ``run_simulation``'s step-size retry: the first
+    A failed backtracking search restarts the iteration from the previous
+    state with the relaxation halved, within the same budget.  A fourth
+    failed search, a spent budget or a failed banded solve raises
+    ``NonlinearDivergence``, which ``run_simulation`` answers by halving
+    tau.  The restart is not a duplicate of that step-size retry: the first
     step of ternary_uphill at eps = 1e-5 needs one restart and converges at
     the full tau, while without the restart halving tau five times does not
     rescue it, and at eps = 1e-6 four retries stand in for the one restart.
@@ -404,7 +400,6 @@ def advance_step(
     h_tau = grid.h / tau
     theta = 1.0
     restarts = iterations = 0
-    increments: list[float] = []
 
     def assemble_at(state: _State) -> tuple[np.ndarray, np.ndarray, float, float]:
         """Assemble at a state; return system, rhs, its norm and the residual there."""
@@ -420,51 +415,45 @@ def advance_step(
         work.held = (state, tau, norm_S, Sw)
         return ab, b, norm_S, _norm(Sw - b)
 
-    while True:
-        acc = prev
-        ab, b, norm_S, f_acc = assemble_at(acc)
-        while iterations < params.picard_max:
-            x, lin_resid = _solve_checked(ab, b, norm_S)
-            d = x.reshape(acc.w.shape) - acc.w
-            s = 1.0
-            for _ in range(11):
-                trial = _evaluate(spec, acc.w + (theta * s) * d)
-                ab, b, norm_S, f_try = assemble_at(trial)
-                c_norm = _norm(trial.c.ravel())
-                floor = 1e-14 * (
-                    norm_S * _norm(trial.w.ravel()) + _norm(b) + h_tau * c_norm
-                )
-                if f_try <= (1.0 - 1e-4 * theta * s) * f_acc or f_try <= floor:
-                    break
-                s *= 0.5
-            else:
-                break  # the backtracking failed: restart
-            iterations += 1
-            inc = float(np.abs(trial.w - acc.w).max())
-            increments.append(inc)
-            acc = trial
-            f_acc = f_try
-            if f_acc <= floor:
-                return StepResult(
-                    w=acc.w,
-                    iterations=iterations,
-                    final_increment=inc,
-                    linear_residual=lin_resid,
-                    restarts=restarts,
-                    state=acc,
-                )
-        else:
-            raise NonlinearDivergence(
-                f"residual above its floor after {params.picard_max} iterations",
-                increments=increments,
+    acc = prev
+    ab, b, norm_S, f_acc = assemble_at(acc)
+    while iterations < params.picard_max:
+        x = _solve_checked(ab, b, norm_S)
+        d = x.reshape(acc.w.shape) - acc.w
+        s = 1.0
+        for _ in range(11):
+            trial = _evaluate(spec, acc.w + (theta * s) * d)
+            ab, b, norm_S, f_try = assemble_at(trial)
+            c_norm = _norm(trial.c.ravel())
+            floor = 1e-14 * (
+                norm_S * _norm(trial.w.ravel()) + _norm(b) + h_tau * c_norm
             )
-        restarts += 1
-        if restarts > 3 or iterations >= params.picard_max:
-            raise NonlinearDivergence(
-                f"backtracking failed after {restarts - 1} restarts",
-                increments=increments,
+            if f_try <= (1.0 - 1e-4 * theta * s) * f_acc or f_try <= floor:
+                break
+            s *= 0.5
+        else:  # the backtracking failed: restart at half the relaxation
+            restarts += 1
+            if restarts > 3:
+                raise NonlinearDivergence(
+                    f"backtracking failed after {restarts - 1} restarts"
+                )
+            theta *= 0.5
+            acc = prev
+            ab, b, norm_S, f_acc = assemble_at(acc)
+            continue
+        iterations += 1
+        acc = trial
+        f_acc = f_try
+        if f_acc <= floor:
+            return StepResult(
+                w=acc.w,
+                iterations=iterations,
+                restarts=restarts,
+                state=acc,
             )
-        theta *= 0.5
+    raise NonlinearDivergence(
+        f"residual above its floor after {params.picard_max} iterations"
+    )
 
 
 def _make_record(
@@ -506,10 +495,10 @@ def run_simulation(
     positivity, dissipation lower bound).  ``audit_mode`` is "enforce"
     (the first violation aborts with ``AuditFailure`` carrying the partial
     result) or "off" (no audits run), so a run that returns has passed
-    every audit it ran.  A step whose nonlinear solve diverges is retried
-    with the step size halved, up to five times, before the run aborts
-    with ``SimulationAborted``; subsequent steps return to the nominal
-    step size.
+    every audit it ran.  A step whose solve fails (``NonlinearDivergence``,
+    a failed banded Cholesky included) is retried with the step size
+    halved, up to five times, before the run aborts with
+    ``SimulationAborted``; subsequent steps return to the nominal step size.
 
     ``hooks`` are called after every accepted step as
     ``hook(step_index, t, cf, w, record)``, with ``cf`` all N+1 fractions

@@ -320,6 +320,28 @@ class TestFailureExitPaths:
         summary = json.loads((tmp_path / "run_summary.json").read_text())
         assert summary["exit_status"] == 2
 
+    def test_failed_cholesky_ends_typed(self, tmp_path, capsys):
+        # on this short domain a banded Cholesky of the first step breaks
+        # down; the step is retried at a halved tau like any failed solve,
+        # so the run ends with a typed outcome and writes its artifacts
+        overrides = (
+            "species=4",
+            "D=5.323e+04,1.395e+04,0.0002558,1393,297.6,8.371",
+            "cells=32",
+            "tau=5.15",
+            "t_end=15.5",
+            "eps=0.000411",
+            "length=0.00186",
+            "initial=step:0.2124,0.3181,0.3224;0.0013,0.0535,0.9452",
+        )
+        args = ["run", "--output-dir", str(tmp_path)]
+        for item in overrides:
+            args += ["--override", item]
+        assert main(args) in (1, 2)
+        assert "aborted: " in capsys.readouterr().err
+        for name in ("timeseries.csv", "audit.json", "run_summary.json"):
+            assert (tmp_path / name).exists()
+
     def test_iteration_total_counts_the_failing_step(self, tmp_path, monkeypatch):
         config = self.heat_config(tmp_path)
         assert config.record_every == 1

@@ -1,5 +1,7 @@
 """Configuration parsing: key=value documents, presets, and materialization."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from msdiff import (
     materialize_spec,
     scan_config_lines,
 )
+from msdiff.config import _KEYS
 
 MINIMAL = "species=3\nD=1,2,3\ncells=64\ntau=1e-3\nt_end=1.0"
 
@@ -113,6 +116,11 @@ class TestParseConfig:
         with pytest.raises(ValidationError) as info:
             parse(MINIMAL + "\n" + line)
         assert info.value.key == key
+
+    def test_every_key_names_a_field(self):
+        # parsed values go straight into RunConfig; D fills d_upper
+        names = {"d_upper" if key == "D" else key for key in _KEYS}
+        assert names == {f.name for f in fields(RunConfig)}
 
     def test_quaternary_law_needs_five_species(self):
         with pytest.raises(ValidationError) as info:

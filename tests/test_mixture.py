@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -419,26 +419,39 @@ class TestClosedFormTernary:
 
 # Reference state kernels: numpy reductions and broadcasts along the short
 # species axis, the form the column-loop kernels must reproduce bitwise.
+# Their species sums are numpy's own unless another ``total`` is passed.
 
 
-def ref_w_to_c(w):
+def numpy_sum(x):
+    return np.sum(x, axis=-1, keepdims=True)
+
+
+def left_to_right_sum(x):
+    """The species sum added left to right from 0.0, the kernels' order."""
+    total = np.zeros(x.shape[:-1] + (1,))
+    for i in range(x.shape[-1]):
+        total = total + x[..., i : i + 1]
+    return total
+
+
+def ref_w_to_c(w, total=numpy_sum):
     shift = np.maximum(np.max(w, axis=-1, keepdims=True), 0.0)
     e = np.exp(w - shift)
-    return e / (np.exp(-shift) + np.sum(e, axis=-1, keepdims=True))
+    return e / (np.exp(-shift) + total(e))
 
 
-def ref_w_to_cf(w):
+def ref_w_to_cf(w, total=numpy_sum):
     shift = np.maximum(np.max(w, axis=-1, keepdims=True), 0.0)
     e = np.concatenate([np.exp(w - shift), np.exp(-shift)], axis=-1)
-    return e / (np.exp(-shift) + np.sum(e[..., :-1], axis=-1, keepdims=True))
+    return e / (np.exp(-shift) + total(e[..., :-1]))
 
 
-def ref_full_concentrations(c):
-    return np.concatenate([c, 1.0 - np.sum(c, axis=-1, keepdims=True)], axis=-1)
+def ref_full_concentrations(c, total=numpy_sum):
+    return np.concatenate([c, 1.0 - total(c)], axis=-1)
 
 
-def ref_is_admissible(c, tol=0.0):
-    return bool(np.all(c >= -tol) and np.all(np.sum(c, axis=-1) <= 1.0 + tol))
+def ref_is_admissible(c, tol=0.0, total=numpy_sum):
+    return bool(np.all(c >= -tol) and np.all(total(c) <= 1.0 + tol))
 
 
 def ref_is_strictly_admissible(c, eps=EPS_ADMISSIBLE):
@@ -511,17 +524,22 @@ class TestSpeciesColumnKernels:
 
     @settings(max_examples=50, deadline=None)
     @given(w=entropy_fields(9, 10))
-    def test_pairwise_sums_agree_to_a_few_ulps(self, w):
-        # from 8 terms on numpy sums pairwise, the kernels left to right
-        c = ref_w_to_c(w)
-        np.testing.assert_array_max_ulp(w_to_c(w), c, maxulp=4)
-        cf, cf_ref = full_concentrations(c), ref_full_concentrations(c)
-        assert bitwise_equal(cf[..., :-1], cf_ref[..., :-1])
-        tiny = np.finfo(float).eps
-        assert np.all(np.abs(cf[..., -1] - cf_ref[..., -1]) <= 16 * tiny)
-        total = np.sum(c, axis=-1)
-        if np.all(np.abs(total - (1.0 + 1e-12)) > 16 * tiny):
-            assert admits(_require_admissible, c) == ref_is_admissible(c, 1e-12)
+    @example(w=np.array([5.0] + [0.0] * 7))
+    @example(w=np.array([4.0] + [-1.0] * 7))
+    @example(w=np.array([12.875] + [0.0] * 7))
+    def test_left_to_right_sums_past_seven_terms(self, w):
+        # from 8 terms on numpy sums pairwise, which differs from the
+        # kernels' left-to-right sums by a few ulps (5 to 6 on the pinned
+        # draws); references summed in the kernels' order agree bitwise
+        c = ref_w_to_c(w, left_to_right_sum)
+        assert bitwise_equal(w_to_c(w), c)
+        assert bitwise_equal(_w_to_cf(w), ref_w_to_cf(w, left_to_right_sum))
+        assert bitwise_equal(
+            full_concentrations(c), ref_full_concentrations(c, left_to_right_sum)
+        )
+        assert admits(_require_admissible, c) == ref_is_admissible(
+            c, 1e-12, left_to_right_sum
+        )
         assert bitwise_equal(_hessian_inverse(c), ref_hessian_inverse(c))
 
 

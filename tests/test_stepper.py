@@ -360,8 +360,6 @@ class TestAdvanceStep:
         step = advance_step(spec, grid, params, w0)
         assert step.restarts == 0
         assert 1 <= step.iterations <= 25
-        assert step.final_increment <= 1e-9
-        assert step.linear_residual <= 1e-12
 
     def test_converged_state_solves_plain_system(self):
         # the solver iterates an augmented splitting; its fixed point must
@@ -413,9 +411,16 @@ class TestAdvanceStep:
     def test_unit_iteration_budget_diverges_on_rough_data(self):
         spec, grid, params, c0 = rough_setup(picard_max=1)
         w0 = c_to_w(regularize_initial(spec, c0, params.eta_floor))
-        with pytest.raises(NonlinearDivergence) as info:
+        with pytest.raises(NonlinearDivergence):
             advance_step(spec, grid, params, w0)
-        assert len(info.value.increments) >= 1
+
+    def test_failed_cholesky_is_a_failed_step_attempt(self):
+        # a band matrix that is not positive definite fails the step
+        # attempt, so run_simulation retries it with a halved step size
+        ab = np.zeros((3, 4), order="F")
+        ab[0] = [1.0, 1.0, -1.0, 1.0]
+        with pytest.raises(NonlinearDivergence, match="banded Cholesky failed"):
+            msdiff.stepper._solve_checked(ab, np.ones(4), 2.0)
 
     def test_relaxation_restart_rescues_first_uphill_step(self):
         # the first step of ternary_uphill at eps = 1e-5 needs one restart at
