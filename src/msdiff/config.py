@@ -23,7 +23,6 @@ from .mixture import (
     new_mixture_spec,
 )
 from .scenarios import PRESETS, build_initial
-from .stepper import SchemeParams
 
 
 @dataclass(frozen=True)
@@ -49,6 +48,39 @@ class RunConfig:
     audit: str = "enforce"
     seed: int = 0
     samples: int = 1000
+
+
+@dataclass(frozen=True)
+class SchemeParams:
+    """Knobs of the implicit scheme.
+
+    tau            time step
+    t_end          final time (the last step is shortened to land on it)
+    eps            regularization weight; must be positive to run
+    picard_tol     sets only the entropy audit's slack (solver_slack); the
+                   inner solve accepts a step on its residual floor alone
+    picard_max     total inner-iteration budget per step, restarts included
+    eta_floor      initial-data blending weight toward the uniform mixture
+    final_polish   has no effect; kept so callers that pass it to
+                   ``dataclasses.replace`` keep working
+
+    The first six fields obey their configuration keys' ranges and
+    messages; running also needs ``eps`` > 0, which certify does not.
+    """
+
+    tau: float
+    t_end: float
+    eps: float = 1e-8
+    picard_tol: float = 1e-10
+    picard_max: int = 200
+    eta_floor: float = 1e-8
+    final_polish: bool = True
+
+    def __post_init__(self):
+        for key in _SCHEME_KEYS:
+            _check(key, getattr(self, key))
+        if not self.eps > 0.0:
+            raise ValidationError("eps", "must be positive to run a simulation")
 
 
 def _parse_int(key: str, value: str) -> int:
@@ -108,6 +140,14 @@ _KEYS = {
     "seed": (_parse_int, lambda v: 0 <= v < 2**64, "must fit in 64 bits"),
     "samples": (_parse_int, lambda v: v >= 0, "must be nonnegative"),
 }
+_SCHEME_KEYS = ("tau", "t_end", "eps", "picard_tol", "picard_max", "eta_floor")
+
+
+def _check(key: str, value) -> None:
+    """Apply the ``_KEYS`` range of ``key`` to its typed value."""
+    _, check, reason = _KEYS[key]
+    if check is not None and not check(value):
+        raise ValidationError(key, reason)
 
 
 def scan_config_lines(text: str) -> list[tuple[str, str]]:
@@ -151,10 +191,8 @@ def config_from_pairs(pairs: list[tuple[str, str]]) -> RunConfig:
         raw = merged
     typed: dict[str, object] = {}
     for key, value in raw.items():
-        convert, check, reason = _KEYS[key]
-        parsed = convert(key, value)
-        if check is not None and not check(parsed):
-            raise ValidationError(key, reason)
+        parsed = _KEYS[key][0](key, value)
+        _check(key, parsed)
         typed["d_upper" if key == "D" else key] = parsed
     for required in ("species", "d_upper"):
         if required not in typed:
@@ -192,19 +230,9 @@ def materialize(
     """Build the runnable objects a validated configuration describes."""
     spec = materialize_spec(config)
     grid = Grid1D(length=config.length, cells=config.cells)
-    if config.tau is None:
-        raise ValidationError("tau", "required to run a simulation")
-    if config.t_end is None:
-        raise ValidationError("t_end", "required to run a simulation")
-    if not config.eps > 0.0:
-        raise ValidationError("eps", "must be positive to run a simulation")
-    params = SchemeParams(
-        tau=config.tau,
-        t_end=config.t_end,
-        eps=config.eps,
-        picard_tol=config.picard_tol,
-        picard_max=config.picard_max,
-        eta_floor=config.eta_floor,
-    )
+    for key in ("tau", "t_end"):
+        if getattr(config, key) is None:
+            raise ValidationError(key, "required to run a simulation")
+    params = SchemeParams(**{key: getattr(config, key) for key in _SCHEME_KEYS})
     c0 = build_initial(grid, spec.n_reduced, config.initial)
     return spec, grid, params, c0

@@ -5,8 +5,9 @@ inadmissible states, malformed configs).  Runtime errors signal solver
 breakdown (``SimulationAborted``, once a step's ``NonlinearDivergence``
 persists through five step-size halvings) or a step that failed its audit
 (``AuditFailure``); a run either finishes with every audit passed or
-raises one of them.  The command line maps the three kinds to the exit
-codes 64, 1 and 2.
+raises one of them, whose ``partial`` result ends at the last state
+reached.  The command line maps the three kinds to the exit codes 64, 1
+and 2.
 """
 
 from __future__ import annotations
@@ -79,9 +80,9 @@ class NonlinearDivergence(MsdiffError):
 
 
 class SimulationAborted(MsdiffError):
-    """Time loop gave up after repeated step-size halving.
+    """Time loop gave up after five step-size halvings of one step.
 
-    ``partial`` holds the trajectory accumulated before the failure.
+    ``partial`` holds the trajectory up to the last accepted step.
     """
 
     def __init__(self, message: str, partial=None):
@@ -104,7 +105,7 @@ class NonPositiveEntropy(MsdiffError):
 class AuditFailure(MsdiffError):
     """The per-step audit rejected an accepted step.
 
-    ``partial`` holds the trajectory accumulated before the failure.
+    ``partial`` holds the trajectory up to and including that step.
     """
 
     def __init__(self, message: str, partial=None):

@@ -43,6 +43,7 @@ import numpy as np
 from scipy.linalg import solveh_banded
 from scipy.linalg.blas import dsbmv
 
+from .config import SchemeParams
 from .diagnostics import (
     AuditVerdict,
     DiagnosticsRecord,
@@ -77,44 +78,6 @@ from .mixture import (
 )
 
 StepHook = Callable[[int, float, np.ndarray, np.ndarray, DiagnosticsRecord], None]
-
-
-@dataclass(frozen=True)
-class SchemeParams:
-    """Knobs of the implicit scheme.
-
-    tau            time step
-    t_end          final time (the last step is shortened to land on it)
-    eps            regularization weight; must be positive to run
-    picard_tol     sets only the entropy audit's slack (solver_slack); the
-                   inner solve accepts a step on its residual floor alone
-    picard_max     total inner-iteration budget per step, restarts included
-    eta_floor      initial-data blending weight toward the uniform mixture
-    final_polish   has no effect; kept so callers that pass it to
-                   ``dataclasses.replace`` keep working
-    """
-
-    tau: float
-    t_end: float
-    eps: float = 1e-8
-    picard_tol: float = 1e-10
-    picard_max: int = 200
-    eta_floor: float = 1e-8
-    final_polish: bool = True
-
-    def __post_init__(self):
-        if not self.tau > 0.0:
-            raise ValidationError("tau", "must be positive")
-        if self.t_end < 0.0:
-            raise ValidationError("t_end", "must be nonnegative")
-        if self.eps < 0.0:
-            raise ValidationError("eps", "must be nonnegative")
-        if not self.picard_tol > 0.0:
-            raise ValidationError("picard_tol", "must be positive")
-        if self.picard_max < 1:
-            raise ValidationError("picard_max", "must be at least 1")
-        if not self.eta_floor > 0.0:
-            raise ValidationError("eta_floor", "must be positive")
 
 
 @dataclass(frozen=True)
@@ -174,8 +137,10 @@ class StepResult:
 class SimulationResult:
     """Trajectory handle returned by ``run_simulation``.
 
-    ``records`` is thinned by ``record_every`` but always keeps the initial
-    and final states; ``verdicts`` covers every accepted step.  The running
+    ``records`` is thinned by ``record_every`` but keeps the initial state
+    and, for every outcome, the last state reached (``w`` at ``t_final``);
+    ``verdicts`` covers every accepted step, ``tau_retries`` the step-size
+    retries made, at most five per step.  The running
     sums ``w_time_integral`` and ``production_time_integral`` accumulate
     tau * integral(w) and tau * integral(r) over all steps, which together
     predict the exact per-species mass drift.  ``picard_iterations_total``
@@ -503,17 +468,17 @@ def run_simulation(
     ``hooks`` are called after every accepted step as
     ``hook(step_index, t, cf, w, record)``, with ``cf`` all N+1 fractions
     the solver computed from ``w``; ``cf`` and ``w`` are read-only.
-    ``record_every`` thins the stored records (the initial and final states
-    are always kept).  Each accepted state's evaluation from the solver
-    supplies its record, its production integral and the start of the next
-    step.
+    ``record_every`` thins the stored records.  Each accepted state's
+    evaluation from the solver supplies its record, its production integral
+    and the start of the next step.
+
+    A result returned, or carried as ``partial`` by either error, ends at
+    the last state reached, the failed step's for ``AuditFailure``.
     """
     if audit_mode not in ("enforce", "off"):
         raise ValidationError("audit_mode", "must be 'enforce' or 'off'")
     if record_every < 1:
         raise ValidationError("record_every", "must be a positive integer")
-    if not params.eps > 0.0:
-        raise ValidationError("eps", "the implicit solver needs eps > 0")
     c = regularize_initial(spec, c0, params.eta_floor)
     w = c_to_w(c)
     cf = full_concentrations(c)
@@ -521,6 +486,9 @@ def run_simulation(
     reference = masses0 / masses0.sum()
     work = _Workspace(spec, grid, params.eps)
     slack = solver_slack(params.picard_tol, spec.n_reduced, grid.cells)
+    # the initial record describes the regularized data c itself, which
+    # differs from the evaluation's w_to_c(w) at rounding level
+    record = _make_record(grid, 0.0, mobility_matrix(spec, c), cf, w, reference, 0)
     result = SimulationResult(
         spec=spec,
         grid=grid,
@@ -530,9 +498,6 @@ def run_simulation(
         w_time_integral=np.zeros(spec.n_reduced),
         production_time_integral=np.zeros(spec.n_reduced),
     )
-    # the initial record describes the regularized data c itself, which
-    # differs from the evaluation's w_to_c(w) at rounding level
-    record = _make_record(grid, 0.0, mobility_matrix(spec, c), cf, w, reference, 0)
     result.records.append(record)
     result.c, result.w = c, w
     state = _evaluate(spec, w)
@@ -541,69 +506,59 @@ def run_simulation(
     # both absent the record is only built at the steps actually stored
     build_every = audit_mode != "off" or bool(hooks)
     t = 0.0
-    k = 0
-    last_stored = 0
-    while True:
-        remaining = params.t_end - t
-        if remaining <= 1e-9 * params.tau:
-            break
-        tau_k = min(params.tau, remaining)
-        for attempt in range(6):
-            try:
-                step = advance_step(
-                    spec, grid, params, w, tau=tau_k, work=work, prev=state
-                )
-                break
-            except NonlinearDivergence:
-                result.tau_retries += 1
-                tau_k *= 0.5
-                if attempt == 5:
-                    raise SimulationAborted(
-                        f"step {k + 1} failed after halving the step size "
-                        "five times", partial=result,
+    try:
+        while (remaining := params.t_end - t) > 1e-9 * params.tau:
+            k = result.steps + 1
+            tau_k = min(params.tau, remaining)
+            for attempt in range(6):
+                try:
+                    step = advance_step(
+                        spec, grid, params, state.w, tau=tau_k, work=work, prev=state
                     )
-        k += 1
-        t += tau_k
-        result.t_final, result.steps = t, k
-        result.picard_iterations_total += step.iterations
-        state = step.state
-        c_new, w_new = state.c, state.w
-        store = k % record_every == 0
-        if build_every or store:
-            new_record = _make_record(
-                grid, t, state.B, state.cf, w_new, reference, step.iterations
-            )
-        else:
-            new_record = None
-        r_int = integrate(grid, state.r)
-        result.w_time_integral += tau_k * integrate(grid, w_new)
-        result.production_time_integral += tau_k * r_int
-        if audit_mode != "off":
-            verdict = audit_step(
-                spec, grid, tau_k, params.eps, slack, record, new_record, w_new,
-                production_integral=r_int,
-            )
-            result.verdicts.append(verdict)
-            if not verdict.passed:
-                names = ("entropy", "mass", "bounds", "dissipation")
-                failed = [n for n in names if not getattr(verdict, f"{n}_ok")]
-                result.c, result.w = c_new, w_new
-                result.records.append(new_record)
-                raise AuditFailure(
-                    f"step {k} violated: {', '.join(failed)}", partial=result
+                    break
+                except NonlinearDivergence:
+                    if attempt == 5:
+                        raise SimulationAborted(
+                            f"step {k} failed after halving the step size "
+                            "five times", partial=result,
+                        )
+                    result.tau_retries += 1
+                    tau_k *= 0.5
+            t += tau_k
+            state = step.state
+            result.steps, result.t_final, result.c, result.w = k, t, state.c, state.w
+            result.picard_iterations_total += step.iterations
+            prev_record, record = record, None
+            if build_every or k % record_every == 0:
+                record = _make_record(
+                    grid, t, state.B, state.cf, state.w, reference, step.iterations
                 )
-        c, w, record = c_new, w_new, new_record
-        result.c, result.w = c, w
-        if hooks:
-            for hook in hooks:
-                hook(k, t, state.cf, w, record)
-        if store:
+            r_int = integrate(grid, state.r)
+            result.w_time_integral += tau_k * integrate(grid, state.w)
+            result.production_time_integral += tau_k * r_int
+            if audit_mode != "off":
+                verdict = audit_step(
+                    spec, grid, tau_k, params.eps, slack, prev_record, record,
+                    state.w, production_integral=r_int,
+                )
+                result.verdicts.append(verdict)
+                if not verdict.passed:
+                    names = ("entropy", "mass", "bounds", "dissipation")
+                    failed = [n for n in names if not getattr(verdict, f"{n}_ok")]
+                    raise AuditFailure(
+                        f"step {k} violated: {', '.join(failed)}", partial=result
+                    )
+            for hook in hooks or ():
+                hook(k, t, state.cf, state.w, record)
+            if k % record_every == 0:
+                result.records.append(record)
+    finally:
+        # one epilogue for a return, an AuditFailure and a SimulationAborted:
+        # store the last state reached unless the thinning just did
+        if result.records[-1] is not record:
+            if record is None:
+                record = _make_record(
+                    grid, t, state.B, state.cf, state.w, reference, step.iterations
+                )
             result.records.append(record)
-            last_stored = k
-    if result.steps and last_stored != result.steps:
-        if record is None:
-            record = _make_record(
-                grid, t, state.B, state.cf, w, reference, step.iterations
-            )
-        result.records.append(record)
     return result

@@ -18,6 +18,7 @@ import msdiff.cli
 import msdiff.stepper
 from msdiff import (
     AuditFailure,
+    NonlinearDivergence,
     SimulationAborted,
     certify_friction_spectrum,
     certify_reduced_spectrum,
@@ -25,7 +26,7 @@ from msdiff import (
 )
 from msdiff.cli import main, run_scenario
 from msdiff.config import config_from_pairs, materialize_spec
-from test_stepper import FIVE_SPECIES
+from test_stepper import FIVE_SPECIES, fail_from_call
 
 TS_HEADER_3 = (
     "time,entropy,relative_entropy,dissipation_raw,dissipation_sqrt,"
@@ -319,6 +320,17 @@ class TestFailureExitPaths:
         assert run_scenario(config) == 2
         summary = json.loads((tmp_path / "run_summary.json").read_text())
         assert summary["exit_status"] == 2
+
+    def test_thinned_abort_ends_at_its_last_state(self, tmp_path, monkeypatch):
+        # step 16 fails at every step size; the thinning stored step 14
+        forced = NonlinearDivergence("forced")
+        fail_from_call(monkeypatch, "advance_step", 16, forced)
+        args = run_args(tmp_path, "--override", "t_end=0.05")
+        assert main([*args, "--override", "record_every=7"]) == 1
+        summary = json.loads((tmp_path / "run_summary.json").read_text())
+        rows = (tmp_path / "timeseries.csv").read_text().splitlines()
+        assert float(rows[-1].split(",")[0]) == summary["t_final"]
+        assert summary["steps"] == 15 and summary["tau_retries"] == 5
 
     def test_failed_cholesky_ends_typed(self, tmp_path, capsys):
         # on this short domain a banded Cholesky of the first step breaks

@@ -183,6 +183,30 @@ class TestMaterialize:
         assert spec.production.kind == "quaternary_reversible"
         assert spec.n_species == 5
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("tau", 0.0),
+            ("t_end", -0.1),
+            ("eps", -1e-9),
+            ("picard_tol", 0.0),
+            ("picard_max", 0),
+            ("eta_floor", 1.0),
+        ],
+    )
+    def test_scheme_params_share_the_key_ranges(self, key, value):
+        with pytest.raises(ValidationError) as from_config:
+            parse(f"{MINIMAL}\n{key}={value}")
+        with pytest.raises(ValidationError) as from_params:
+            SchemeParams(**{"tau": 1e-3, "t_end": 1.0, key: value})
+        assert str(from_params.value) == str(from_config.value)
+
+    def test_zero_eps_parses_but_cannot_run(self):
+        assert parse(MINIMAL + "\neps=0").eps == 0.0
+        with pytest.raises(ValidationError) as info:
+            SchemeParams(tau=1e-3, t_end=1.0, eps=0.0)
+        assert str(info.value) == "eps: must be positive to run a simulation"
+
     def test_config_is_frozen(self):
         config = parse(MINIMAL)
         assert isinstance(config, RunConfig)

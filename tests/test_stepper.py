@@ -449,6 +449,23 @@ class TestAdvanceStep:
         assert 1e-7 <= dc <= 1e-4
 
 
+def fail_from_call(monkeypatch, name, first, outcome):
+    """Make ``msdiff.stepper.<name>`` raise ``outcome`` from its call number
+    ``first`` on, or return it if it is not an exception."""
+    original = getattr(msdiff.stepper, name)
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(None)
+        if len(calls) < first:
+            return original(*args, **kwargs)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(msdiff.stepper, name, wrapped)
+
+
 def failing_verdict(t):
     return AuditVerdict(
         time=t,
@@ -546,7 +563,7 @@ class TestRunSimulation:
             run_simulation(spec, grid, params, c0)
         partial = info.value.partial
         assert partial.steps == 0
-        assert partial.tau_retries == 6
+        assert partial.tau_retries == 5
         assert len(partial.records) == 1
 
     def test_rough_run_keeps_implied_fraction_positive(self):
@@ -636,6 +653,38 @@ class TestRunSimulation:
             run_simulation(spec, grid, params, c0, record_every=0)
 
     def test_zero_eps_rejected_at_run_time(self):
-        spec, grid, params, c0 = heat_setup(eps=0.0)
         with pytest.raises(ValidationError):
+            spec, grid, params, c0 = heat_setup(eps=0.0)
             run_simulation(spec, grid, params, c0)
+
+    @pytest.mark.parametrize(
+        "outcome,error",
+        [("return", None), ("audit", AuditFailure), ("abort", SimulationAborted)],
+    )
+    def test_every_exit_keeps_the_last_state(self, outcome, error, monkeypatch):
+        # every run ends at step 15, and record_every=7 stores steps 7 and 14
+        t_end = 0.015 if outcome == "return" else 0.05
+        spec, grid, params, c0 = heat_setup(t_end=t_end)
+        if outcome == "audit":
+            fail_from_call(monkeypatch, "audit_step", 15, failing_verdict(0.015))
+        elif outcome == "abort":
+            forced = NonlinearDivergence("forced")
+            fail_from_call(monkeypatch, "advance_step", 16, forced)
+        if error is None:
+            result = run_simulation(spec, grid, params, c0, record_every=7)
+        else:
+            with pytest.raises(error) as info:
+                run_simulation(spec, grid, params, c0, record_every=7)
+            result = info.value.partial
+        times = [r.time for r in result.records]
+        np.testing.assert_allclose(times, [0.0, 0.007, 0.014, 0.015], atol=1e-12)
+        last = result.records[-1]
+        assert result.steps == 15 and last.time == result.t_final
+        # the last record describes result.w
+        cf = msdiff.stepper._w_to_cf(result.w)
+        assert np.array_equal(last.masses, integrate(grid, cf))
+        drift = last.masses[:-1] - result.initial_masses[:-1]
+        predicted = (
+            -params.eps * result.w_time_integral + result.production_time_integral
+        )
+        assert np.max(np.abs(drift - predicted)) <= 1e-15
