@@ -29,7 +29,6 @@ from .errors import (
     DimensionMismatch,
     InadmissibleInitialData,
     InadmissibleState,
-    InconsistentFields,
     InsufficientData,
     InvalidProductionLaw,
     MsdiffError,
@@ -102,7 +101,6 @@ __all__ = [
     "Grid1D",
     "InadmissibleInitialData",
     "InadmissibleState",
-    "InconsistentFields",
     "InsufficientData",
     "InvalidProductionLaw",
     "MixtureSpec",

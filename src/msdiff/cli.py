@@ -162,15 +162,16 @@ def _write_timeseries(path: Path, records) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _analytic_l2_error(config: RunConfig, spec, grid, params, result) -> float | None:
+def _analytic_l2_error(config: RunConfig, result: SimulationResult) -> float | None:
     """L2 distance to the exact solution, for equal-diffusivity cosine runs."""
     if not config.initial.startswith("cosine:") or config.production != "zero":
         return None
+    spec, grid = result.spec, result.grid
     off = ~np.eye(spec.n_species, dtype=bool)
     if np.ptp(spec.D[off]) != 0.0 or result.c is None:
         return None
     amplitude = float(config.initial.partition(":")[2])
-    amplitude *= 1.0 - spec.n_species * params.eta_floor
+    amplitude *= 1.0 - spec.n_species * result.params.eta_floor
     exact = heat_analytic(
         grid, spec.n_reduced, amplitude, float(spec.D[0, 1]), result.t_final
     )
@@ -180,14 +181,12 @@ def _analytic_l2_error(config: RunConfig, spec, grid, params, result) -> float |
 
 def _build_summary(
     config: RunConfig,
-    spec,
-    grid,
-    params,
     result: SimulationResult,
     collector: RunCollector,
     exit_code: int,
     abort: str | None,
 ) -> dict:
+    spec, grid, params = result.spec, result.grid, result.params
     summary: dict = {
         "scenario": config.scenario,
         "species": spec.n_species,
@@ -251,21 +250,16 @@ def _build_summary(
         if collector.pinsker_margin_min == float("inf")
         else collector.pinsker_margin_min
     )
-    summary["l2_error_vs_analytic"] = _analytic_l2_error(
-        config, spec, grid, params, result
-    )
+    summary["l2_error_vs_analytic"] = _analytic_l2_error(config, result)
     summary["snapshots"] = collector.snapshots
     return summary
 
 
 def run_scenario(config: RunConfig) -> int:
-    """Execute one configured simulation and write its artifacts."""
-    try:
-        spec, grid, params, c0 = materialize(config)
-        c_start = regularize_initial(spec, c0, params.eta_floor)
-    except (ParseError, ValidationError, InadmissibleInitialData) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 64
+    """Execute one configured simulation, write its artifacts and return 0,
+    1 or 2; a config it cannot run or a directory it cannot make raises first."""
+    spec, grid, params, c0 = materialize(config)
+    c_start = regularize_initial(spec, c0, params.eta_floor)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     masses0 = integrate(grid, full_concentrations(c_start))
@@ -290,12 +284,9 @@ def run_scenario(config: RunConfig) -> int:
             hooks=[collector],
             record_every=config.record_every,
         )
-    except SimulationAborted as exc:
-        result = exc.partial
-        exit_code, abort = 1, str(exc)
-    except AuditFailure as exc:
-        result = exc.partial
-        exit_code, abort = 2, str(exc)
+    except (SimulationAborted, AuditFailure) as exc:
+        result, abort = exc.partial, str(exc)
+        exit_code = 2 if isinstance(exc, AuditFailure) else 1
     if (
         snap_dir is not None
         and result.steps > 0
@@ -313,9 +304,7 @@ def run_scenario(config: RunConfig) -> int:
             "verdicts": [dict(vars(v), passed=v.passed) for v in result.verdicts],
         },
     )
-    summary = _build_summary(
-        config, spec, grid, params, result, collector, exit_code, abort
-    )
+    summary = _build_summary(config, result, collector, exit_code, abort)
     _write_json(summary_path, summary)
     for p in (timeseries, audit, summary_path):
         print(f"wrote {p}")
@@ -339,12 +328,9 @@ def certify(config: RunConfig) -> int:
     once, by ``certify_friction_spectrum``, in sample order; the reduced
     spectra and mobilities of all states follow unchecked, from
     ``_reduced_spectra`` and ``_mobility`` on one stack of A0 matrices.
+    It returns 0 or 2; a bad mixture or directory raises before any output.
     """
-    try:
-        spec = materialize_spec(config)
-    except (ParseError, ValidationError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 64
+    spec = materialize_spec(config)
     rng = np.random.default_rng(config.seed)
     n1 = spec.n_species
     floor = 1e-12
@@ -465,23 +451,23 @@ def _collect_pairs(args) -> list[tuple[str, str]]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one subcommand; the one place that maps a bad config, an unreadable
+    or non-UTF-8 config file or an unmakeable output directory to exit 64."""
     args = _build_parser().parse_args(argv)
     if args.command == "presets":
         for name in sorted(PRESETS):
             print(f"{name}: {PRESETS[name].description}")
         return 0
     try:
-        pairs = _collect_pairs(args)
-        config = config_from_pairs(pairs)
-    except OSError as exc:
-        print(f"cannot read configuration: {exc}", file=sys.stderr)
-        return 64
-    except (ParseError, ValidationError) as exc:
+        config = config_from_pairs(_collect_pairs(args))
+        return (run_scenario if args.command == "run" else certify)(config)
+    except (ParseError, ValidationError, InadmissibleInitialData) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
-        return 64
-    if args.command == "run":
-        return run_scenario(config)
-    return certify(config)
+    except UnicodeDecodeError as exc:
+        print(f"cannot read/write: {args.config}: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"cannot read/write: {exc}", file=sys.stderr)
+    return 64
 
 
 if __name__ == "__main__":

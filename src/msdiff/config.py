@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, _require_number
 from .grid import Grid1D
 from .mixture import (
     MixtureSpec,
@@ -64,7 +64,7 @@ class SchemeParams:
     final_polish   has no effect; kept so callers that pass it to
                    ``dataclasses.replace`` keep working
 
-    The first six fields obey their configuration keys' ranges and
+    The first six fields obey their configuration keys' types, ranges and
     messages; running also needs ``eps`` > 0, which certify does not.
     """
 
@@ -78,7 +78,9 @@ class SchemeParams:
 
     def __post_init__(self):
         for key in _SCHEME_KEYS:
-            _check(key, getattr(self, key))
+            value = getattr(self, key)
+            _require_number(key, value, integer=_KEYS[key][0] is _parse_int)
+            _check(key, value)
         if not self.eps > 0.0:
             raise ValidationError("eps", "must be positive to run a simulation")
 
@@ -95,8 +97,7 @@ def _parse_float(key: str, value: str) -> float:
         out = float(value)
     except ValueError as exc:
         raise ValidationError(key, f"not a number: {value!r}") from exc
-    if not np.isfinite(out):
-        raise ValidationError(key, "must be finite")
+    _require_number(key, out)
     return out
 
 

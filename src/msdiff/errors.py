@@ -12,6 +12,9 @@ and 2.
 
 from __future__ import annotations
 
+import math
+import numbers
+
 
 class MsdiffError(Exception):
     """Base class for all package-specific errors."""
@@ -67,11 +70,6 @@ class NotSymmetric(MsdiffError):
 
 class InadmissibleInitialData(MsdiffError):
     """Initial concentrations not inside the closed composition simplex."""
-
-
-class InconsistentFields(MsdiffError):
-    """A carried evaluation or workspace does not belong to the step's
-    state or parameters."""
 
 
 class NonlinearDivergence(MsdiffError):
@@ -132,3 +130,12 @@ class ValidationError(MsdiffError):
         super().__init__(f"{key}: {reason}")
         self.key = key
         self.reason = reason
+
+
+def _require_number(key: str, value, integer: bool = False) -> None:
+    """Hold a library argument to the config parsers' type rules."""
+    if not isinstance(value, numbers.Integral if integer else numbers.Real):
+        what = "an integer" if integer else "a number"
+        raise ValidationError(key, f"not {what}: {value!r}")
+    if not -math.inf < value < math.inf:
+        raise ValidationError(key, "must be finite")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, ValidationError
+from .errors import DimensionMismatch, ValidationError, _require_number
 
 
 @dataclass(frozen=True)
@@ -25,6 +25,8 @@ class Grid1D:
     cells: int
 
     def __post_init__(self):
+        _require_number("length", self.length)
+        _require_number("cells", self.cells, integer=True)
         if not self.length > 0.0:
             raise ValidationError("length", "must be positive")
         if self.cells < 2:

@@ -57,7 +57,6 @@ from .errors import (
     AuditFailure,
     DimensionMismatch,
     InadmissibleInitialData,
-    InconsistentFields,
     NonlinearDivergence,
     NotStrictlyAdmissible,
     SimulationAborted,
@@ -122,9 +121,10 @@ class StepResult:
     """Converged state of one implicit step, its iterations and restarts.
 
     ``state`` is the evaluation of ``w`` that the solver built and checked
-    while accepting it; ``run_simulation`` hands it to the step record and
-    to the next ``advance_step`` instead of evaluating ``w`` again.  ``w``
-    and every array of ``state`` are read-only.
+    while accepting it; ``run_simulation`` reads the step record from it,
+    and the next ``advance_step`` finds it in the workspace instead of
+    evaluating ``w`` again.  ``w`` and every array of ``state`` are
+    read-only.
     """
 
     w: np.ndarray
@@ -206,7 +206,8 @@ class _Workspace:
     the full block coupling its right cell to its left.  ``eps_ab`` holds
     ``eps h (L^2 + I)`` in the same storage for the workspace's ``eps``.
     ``held`` is ``(state, tau, ||S||_F, S w)`` of the matrix in ``ab`` when
-    ``advance_step`` assembled it, None after any other assembly.
+    ``advance_step`` assembled it, None after any other assembly; a step
+    whose ``w_prev`` is ``held``'s ``state.w`` starts from that state.
     """
 
     def __init__(self, spec: MixtureSpec, grid: Grid1D, eps: float):
@@ -314,7 +315,6 @@ def advance_step(
     w_prev: np.ndarray,
     tau: float | None = None,
     work: _Workspace | None = None,
-    prev: _State | None = None,
 ) -> StepResult:
     """Advance the state by one implicit step.
 
@@ -344,23 +344,22 @@ def advance_step(
 
     Every iterate, trial points of the backtracking included, is evaluated
     once (fractions checked, mobility and production built) and assembled
-    from that evaluation.  The accepted state's evaluation comes back as
-    ``StepResult.state``; passing it as ``prev`` to the next call, with its
-    ``w`` as ``w_prev``, spares evaluating the start state again, and with
-    the same ``work`` and tau also assembling it: only the right-hand side
-    is rebuilt.  A ``prev`` whose ``w`` is not the ``w_prev`` array, or a
-    ``work`` built for an eps other than ``params.eps``, raises
-    ``InconsistentFields``.
+    from that evaluation.  ``work`` is all a run carries between steps: it
+    holds the accepted state's evaluation and assembly, so a next call with
+    the same ``work`` and that state's ``w`` array (``StepResult.w``) as
+    ``w_prev`` starts from that evaluation, and at the same tau also from
+    that assembly: only the right-hand side is rebuilt.  Any other
+    ``w_prev`` is evaluated afresh, and a ``work`` built for an eps other
+    than ``params.eps`` is replaced by a fresh one.
     """
     tau = params.tau if tau is None else tau
-    if work is None:
+    if work is None or work.eps != params.eps:
         work = _Workspace(spec, grid, params.eps)
-    elif work.eps != params.eps:
-        raise InconsistentFields("work was built for another eps")
-    if prev is None:
+    held = work.held
+    if held is not None and held[0].w is w_prev:
+        prev = held[0]
+    else:
         prev = _evaluate(spec, np.array(w_prev, dtype=float))
-    elif prev.w is not w_prev:
-        raise InconsistentFields("prev is not the evaluation of w_prev")
     c_prev = prev.c
     h_tau = grid.h / tau
     theta = 1.0
@@ -470,7 +469,7 @@ def run_simulation(
     the solver computed from ``w``; ``cf`` and ``w`` are read-only.
     ``record_every`` thins the stored records.  Each accepted state's
     evaluation from the solver supplies its record, its production integral
-    and the start of the next step.
+    and, through the run's one workspace, the start of the next step.
 
     A result returned, or carried as ``partial`` by either error, ends at
     the last state reached, the failed step's for ``AuditFailure``.
@@ -500,7 +499,6 @@ def run_simulation(
     )
     result.records.append(record)
     result.c, result.w = c, w
-    state = _evaluate(spec, w)
 
     # audits need the previous record, hooks receive the current one; with
     # both absent the record is only built at the steps actually stored
@@ -512,9 +510,7 @@ def run_simulation(
             tau_k = min(params.tau, remaining)
             for attempt in range(6):
                 try:
-                    step = advance_step(
-                        spec, grid, params, state.w, tau=tau_k, work=work, prev=state
-                    )
+                    step = advance_step(spec, grid, params, w, tau=tau_k, work=work)
                     break
                 except NonlinearDivergence:
                     if attempt == 5:
@@ -525,8 +521,8 @@ def run_simulation(
                     result.tau_retries += 1
                     tau_k *= 0.5
             t += tau_k
-            state = step.state
-            result.steps, result.t_final, result.c, result.w = k, t, state.c, state.w
+            state, w = step.state, step.w
+            result.steps, result.t_final, result.c, result.w = k, t, state.c, w
             result.picard_iterations_total += step.iterations
             prev_record, record = record, None
             if build_every or k % record_every == 0:

@@ -201,6 +201,27 @@ class TestMaterialize:
             SchemeParams(**{"tau": 1e-3, "t_end": 1.0, key: value})
         assert str(from_params.value) == str(from_config.value)
 
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("tau", None, "tau: not a number: None"),
+            ("tau", "1e-3", "tau: not a number: '1e-3'"),
+            ("t_end", float("inf"), "t_end: must be finite"),
+            ("eps", float("nan"), "eps: must be finite"),
+            ("picard_max", 2.5, "picard_max: not an integer: 2.5"),
+            ("picard_max", 200.0, "picard_max: not an integer: 200.0"),
+        ],
+    )
+    def test_scheme_params_share_the_key_types(self, key, value, message):
+        # an infinite t_end would run forever, a fractional budget is no count
+        with pytest.raises(ValidationError) as info:
+            SchemeParams(**{"tau": 1e-3, "t_end": 1.0, key: value})
+        assert str(info.value) == message
+        if message.endswith("must be finite"):
+            with pytest.raises(ValidationError) as from_config:
+                parse(f"{MINIMAL}\n{key}={value}")
+            assert str(from_config.value) == message
+
     def test_zero_eps_parses_but_cannot_run(self):
         assert parse(MINIMAL + "\neps=0").eps == 0.0
         with pytest.raises(ValidationError) as info:

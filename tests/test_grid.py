@@ -44,6 +44,28 @@ class TestGrid1D:
         with pytest.raises(ValidationError):
             Grid1D(length=1.0, cells=0)
 
+    @pytest.mark.parametrize(
+        "length,cells,message",
+        [
+            (1.0, 2.5, "cells: not an integer: 2.5"),
+            (1.0, 4.0, "cells: not an integer: 4.0"),
+            (float("inf"), 4, "length: must be finite"),
+            (float("nan"), 4, "length: must be finite"),
+            ("1", 4, "length: not a number: '1'"),
+        ],
+    )
+    def test_rejects_non_integer_cells_and_non_finite_length(
+        self, length, cells, message
+    ):
+        # 2.5 cells would build 3 centers spaced 0.4 apart
+        with pytest.raises(ValidationError) as info:
+            Grid1D(length=length, cells=cells)
+        assert str(info.value) == message
+
+    def test_numpy_scalars_are_numbers(self):
+        grid = Grid1D(length=np.float64(2.0), cells=np.int64(4))
+        assert grid.h == 0.5 and grid.centers.size == 4
+
 
 class TestFaceGradient:
     def test_constant_field_zero(self, grid4):

@@ -23,11 +23,13 @@ def test_star_import():
 def test_retired_names_are_gone():
     # checked twins of the record's private kernels, and their exceptions;
     # an empty base of AuditFailure; the banded-solve failure, now a
-    # NonlinearDivergence that the time loop retries
+    # NonlinearDivergence that the time loop retries; the guard of a carried
+    # evaluation, which the workspace now carries alone
     for name in (
         "AuditError",
         "BadReference",
         "DissipationContractViolation",
+        "InconsistentFields",
         "LinearSolveFailure",
         "dissipation",
         "entropy_functional",

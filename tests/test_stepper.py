@@ -19,7 +19,6 @@ from msdiff import (
     DimensionMismatch,
     Grid1D,
     InadmissibleInitialData,
-    InconsistentFields,
     NonlinearDivergence,
     ProductionLaw,
     SchemeParams,
@@ -305,23 +304,30 @@ class TestBandAssembly:
         w0[0, 0] = 0.0
 
     def test_carried_evaluation_must_be_of_w_prev(self):
+        # the workspace is the only carry: an evaluation it holds is used
+        # only when it is of w_prev; another state's gives a fresh step
         spec, grid, params, c0 = heat_setup(cells=8)
         w0 = c_to_w(regularize_initial(spec, c0, params.eta_floor))
-        step = advance_step(spec, grid, params, w0)
-        nxt = advance_step(spec, grid, params, step.w, prev=step.state)
+        work = msdiff.stepper._Workspace(spec, grid, params.eps)
+        step = advance_step(spec, grid, params, w0, work=work)
+        assert work.held[0] is step.state
+        nxt = advance_step(spec, grid, params, step.w, work=work)
         assert np.array_equal(nxt.w, advance_step(spec, grid, params, step.w).w)
-        with pytest.raises(InconsistentFields):
-            advance_step(spec, grid, params, w0, prev=step.state)
+        again = advance_step(spec, grid, params, w0, work=work)
+        assert np.array_equal(again.w, step.w)
+        assert again.iterations == step.iterations
 
     def test_workspace_must_be_built_for_params_eps(self):
-        # a workspace holds the eps bands of the one eps it was built for
+        # a workspace holds the eps bands of the one eps it was built for;
+        # one built for another eps is replaced, giving a fresh step
         spec, grid, params, c0 = heat_setup(cells=8)
         w0 = c_to_w(regularize_initial(spec, c0, params.eta_floor))
         work = msdiff.stepper._Workspace(spec, grid, params.eps)
         step = advance_step(spec, grid, params, w0, work=work)
         assert np.array_equal(step.w, advance_step(spec, grid, params, w0).w)
-        with pytest.raises(InconsistentFields):
-            advance_step(spec, grid, replace(params, eps=2 * params.eps), w0, work=work)
+        eps2 = replace(params, eps=2 * params.eps)
+        other = advance_step(spec, grid, eps2, w0, work=work)
+        assert np.array_equal(other.w, advance_step(spec, grid, eps2, w0).w)
 
 
 class TestAdvanceStep:
