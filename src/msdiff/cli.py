@@ -37,10 +37,9 @@ from .errors import (
     SimulationAborted,
     ValidationError,
 )
-from .grid import Grid1D, integrate
+from .grid import Grid1D
 from .mixture import (
     MixtureSpec,
-    c_to_w,
     full_concentrations,
     _hessian_inverse,
     _mobility,
@@ -49,7 +48,7 @@ from .mixture import (
 )
 from .scenarios import PRESETS, heat_analytic
 from .spectra import _band_test, _reduced_spectra, certify_friction_spectrum
-from .stepper import SimulationResult, regularize_initial, run_simulation
+from .stepper import SimulationResult, run_simulation
 
 
 def _f(x) -> str:
@@ -68,25 +67,23 @@ def _write_json(path: Path, payload: dict) -> None:
 class RunCollector:
     """Per-step hook gathering flux, uphill, and distance-bound telemetry.
 
-    Flux reconstruction happens on every accepted step; snapshots are
-    written on the configured cadence.  The distance bound compares each
-    species' L1 distance from the reference composition against the
-    square root of twice the domain length times the relative entropy.
-    Snapshots and those distances read the N+1 fractions the solver
-    computed from w, as the relative entropy does.
+    The call at step 0, with the regularized start, makes ``out_dir``;
+    flux reconstruction happens on every accepted step after it; snapshots
+    are written on the configured cadence.  The distance bound compares
+    each species' L1 distance from ``record.reference`` against the square
+    root of twice the domain length times the relative entropy.  Snapshots
+    and those distances read the N+1 fractions the hook receives.
     """
 
     def __init__(
         self,
         spec: MixtureSpec,
         grid: Grid1D,
-        reference: np.ndarray,
-        out_dir: Path | None,
+        out_dir: Path,
         snapshot_every: int,
     ):
         self.spec = spec
         self.grid = grid
-        self.reference = reference
         self.out_dir = out_dir
         self.snapshot_every = snapshot_every
         self.uphill_max = float("-inf")
@@ -97,8 +94,6 @@ class RunCollector:
         self.last_snapshot_step = -1
 
     def write_snapshot(self, k: int, cf: np.ndarray, w: np.ndarray) -> None:
-        if self.out_dir is None:
-            return
         n1 = self.spec.n_species
         n = self.spec.n_reduced
         header = (
@@ -119,23 +114,26 @@ class RunCollector:
         self.last_snapshot_step = k
 
     def __call__(self, k, t, cf, w, record) -> None:
-        c = cf[:, :-1]
-        J, resid = reconstruct_fluxes(self.spec, self.grid, c)
-        self.flux_residual_max = max(self.flux_residual_max, resid)
-        g_red = (c[1:] - c[:-1]) / self.grid.h
-        g_full = np.concatenate(
-            [g_red, -g_red.sum(axis=-1, keepdims=True)], axis=-1
-        )
-        if g_full.size:
-            self.uphill_max = max(
-                self.uphill_max, float(np.max(J[1:-1] * g_full))
+        if k == 0:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+        else:
+            c = cf[:, :-1]
+            J, resid = reconstruct_fluxes(self.spec, self.grid, c)
+            self.flux_residual_max = max(self.flux_residual_max, resid)
+            g_red = (c[1:] - c[:-1]) / self.grid.h
+            g_full = np.concatenate(
+                [g_red, -g_red.sum(axis=-1, keepdims=True)], axis=-1
             )
-        l1 = self.grid.h * np.sum(np.abs(cf - self.reference), axis=0)
-        bound = np.sqrt(2.0 * self.grid.length * max(record.relative_entropy, 0.0))
-        margin = float(bound - np.max(l1))
-        self.pinsker_margin_min = min(self.pinsker_margin_min, margin)
-        if margin < -1e-12:
-            self.pinsker_ok = False
+            if g_full.size:
+                self.uphill_max = max(
+                    self.uphill_max, float(np.max(J[1:-1] * g_full))
+                )
+            l1 = self.grid.h * np.sum(np.abs(cf - record.reference), axis=0)
+            bound = np.sqrt(2.0 * self.grid.length * max(record.relative_entropy, 0.0))
+            margin = float(bound - np.max(l1))
+            self.pinsker_margin_min = min(self.pinsker_margin_min, margin)
+            if margin < -1e-12:
+                self.pinsker_ok = False
         if self.snapshot_every > 0 and k % self.snapshot_every == 0:
             self.write_snapshot(k, cf, w)
 
@@ -259,19 +257,8 @@ def run_scenario(config: RunConfig) -> int:
     """Execute one configured simulation, write its artifacts and return 0,
     1 or 2; a config it cannot run or a directory it cannot make raises first."""
     spec, grid, params, c0 = materialize(config)
-    c_start = regularize_initial(spec, c0, params.eta_floor)
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    masses0 = integrate(grid, full_concentrations(c_start))
-    reference = masses0 / masses0.sum()
-    snap_dir = out if config.snapshot_every > 0 else None
-    collector = RunCollector(
-        spec, grid, reference, snap_dir, config.snapshot_every
-    )
-    if snap_dir is not None:
-        collector.write_snapshot(
-            0, full_concentrations(c_start), c_to_w(c_start)
-        )
+    collector = RunCollector(spec, grid, out, config.snapshot_every)
     exit_code = 0
     abort = None
     try:
@@ -287,11 +274,7 @@ def run_scenario(config: RunConfig) -> int:
     except (SimulationAborted, AuditFailure) as exc:
         result, abort = exc.partial, str(exc)
         exit_code = 2 if isinstance(exc, AuditFailure) else 1
-    if (
-        snap_dir is not None
-        and result.steps > 0
-        and collector.last_snapshot_step != result.steps
-    ):
+    if config.snapshot_every > 0 and collector.last_snapshot_step != result.steps:
         collector.write_snapshot(result.steps, _w_to_cf(result.w), result.w)
     timeseries = out / "timeseries.csv"
     audit = out / "audit.json"

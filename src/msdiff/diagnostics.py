@@ -35,7 +35,9 @@ from .mixture import (
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
-    """One accepted step's worth of scalar diagnostics."""
+    """One accepted step's worth of scalar diagnostics; ``relative_entropy``
+    is measured against ``reference``, all N+1 fractions of a constant
+    composition.  ``masses`` and ``reference`` are read-only."""
 
     time: float
     entropy: float
@@ -45,10 +47,13 @@ class DiagnosticsRecord:
     masses: np.ndarray = field(repr=False)
     min_c: float = 0.0
     picard_iterations: int = 0
+    reference: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "masses", np.asarray(self.masses, dtype=float))
         self.masses.setflags(write=False)
+        if self.reference is not None:
+            self.reference.setflags(write=False)
 
 
 @dataclass(frozen=True)

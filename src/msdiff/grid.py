@@ -10,6 +10,7 @@ rounding in the energy estimates downstream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,11 @@ class Grid1D:
             raise ValidationError("length", "must be positive")
         if self.cells < 2:
             raise ValidationError("cells", "need at least 2 cells")
+        h2 = self.h * self.h  # the Laplacian's bands scale as 1/h**2
+        if not (0.0 < h2 < math.inf and 1.0 / h2 < math.inf):
+            raise ValidationError(
+                "length", f"cell width {self.h:g}: h**2 and 1/h**2 must be finite"
+            )
 
     @property
     def h(self) -> float:

@@ -51,6 +51,7 @@ from .errors import (
     NonSymmetricD,
     NotStrictlyAdmissible,
     SingularA0,
+    ValidationError,
     WrongSpeciesCount,
 )
 
@@ -196,9 +197,18 @@ def new_mixture_spec(
     D = D.copy()
     np.fill_diagonal(D, 0.0)
     d = np.zeros_like(D)
-    d[off] = 1.0 / D[off]
-    delta = float(np.min(d[off]))
-    Delta = 2.0 * float(np.sum(d[off]))
+    with np.errstate(over="ignore"):
+        d[off] = 1.0 / D[off]
+        delta = float(np.min(d[off]))
+        Delta = 2.0 * float(np.sum(d[off]))
+    # the audit's 4/Delta bound and det A0 >= delta**N > 0 need both in range
+    if not Delta < math.inf:
+        raise ValidationError("D", "1/D_ij or Delta = 2 sum 1/D_ij overflows")
+    n = n_species - 1
+    if min(delta, 1.0) ** n == 0.0:
+        raise ValidationError(
+            "D", f"delta**{n} = {delta:g}**{n}, the lower bound of det A0, underflows"
+        )
     if production is None:
         production = ProductionLaw.zero()
     if production.n_species and production.n_species != n_species:

@@ -139,6 +139,7 @@ class SimulationResult:
 
     ``records`` is thinned by ``record_every`` but keeps the initial state
     and, for every outcome, the last state reached (``w`` at ``t_final``);
+    each holds the run's reference, ``initial_masses`` over their sum.
     ``verdicts`` covers every accepted step, ``tau_retries`` the step-size
     retries made, at most five per step.  The running
     sums ``w_time_integral`` and ``production_time_integral`` accumulate
@@ -158,7 +159,6 @@ class SimulationResult:
     w: np.ndarray | None = None
     t_final: float = 0.0
     steps: int = 0
-    reference: np.ndarray | None = None
     initial_masses: np.ndarray | None = None
     w_time_integral: np.ndarray | None = None
     production_time_integral: np.ndarray | None = None
@@ -440,6 +440,7 @@ def _make_record(
         masses=integrate(grid, cf),
         min_c=float(np.min(cf)),
         picard_iterations=iterations,
+        reference=reference,
     )
 
 
@@ -464,9 +465,12 @@ def run_simulation(
     halved, up to five times, before the run aborts with
     ``SimulationAborted``; subsequent steps return to the nominal step size.
 
-    ``hooks`` are called after every accepted step as
+    ``hooks`` are called at step 0 with the regularized data, the run's one
+    start, and after every accepted step as
     ``hook(step_index, t, cf, w, record)``, with ``cf`` all N+1 fractions
-    the solver computed from ``w``; ``cf`` and ``w`` are read-only.
+    of that data or those the solver computed from ``w``; ``cf`` and ``w``
+    are read-only.  Every record holds the run's one ``reference``, the
+    initial masses over their sum.
     ``record_every`` thins the stored records.  Each accepted state's
     evaluation from the solver supplies its record, its production integral
     and, through the run's one workspace, the start of the next step.
@@ -483,6 +487,8 @@ def run_simulation(
     cf = full_concentrations(c)
     masses0 = integrate(grid, cf)
     reference = masses0 / masses0.sum()
+    for a in (c, w, cf):
+        a.setflags(write=False)
     work = _Workspace(spec, grid, params.eps)
     slack = solver_slack(params.picard_tol, spec.n_reduced, grid.cells)
     # the initial record describes the regularized data c itself, which
@@ -492,13 +498,14 @@ def run_simulation(
         spec=spec,
         grid=grid,
         params=params,
-        reference=reference,
         initial_masses=masses0,
         w_time_integral=np.zeros(spec.n_reduced),
         production_time_integral=np.zeros(spec.n_reduced),
     )
     result.records.append(record)
     result.c, result.w = c, w
+    for hook in hooks or ():
+        hook(0, 0.0, cf, w, record)
 
     # audits need the previous record, hooks receive the current one; with
     # both absent the record is only built at the steps actually stored

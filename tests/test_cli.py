@@ -22,12 +22,15 @@ from msdiff import (
     AuditFailure,
     NonlinearDivergence,
     SimulationAborted,
+    c_to_w,
     certify_friction_spectrum,
     certify_reduced_spectrum,
+    full_concentrations,
     mobility_matrix,
+    regularize_initial,
 )
 from msdiff.cli import main, run_scenario
-from msdiff.config import config_from_pairs, materialize_spec
+from msdiff.config import config_from_pairs, materialize, materialize_spec
 from test_stepper import FIVE_SPECIES, fail_from_call
 
 TS_HEADER_3 = (
@@ -103,6 +106,16 @@ class TestRunCommand:
         row = [float(v) for v in lines[1].split(",")]
         assert row[0] == pytest.approx(1 / 64)  # first cell center
         assert sum(row[1:4]) == pytest.approx(1.0, abs=1e-12)
+        # snapshot 0 is the regularized start that run_simulation hands its
+        # hooks, written with round-trip floats
+        config = config_from_pairs(
+            [("scenario", "heat_check"), ("cells", "32"), ("t_end", "0.01")]
+        )
+        spec, grid, params, c0 = materialize(config)
+        c_reg = regularize_initial(spec, c0, params.eta_floor)
+        table = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+        assert np.array_equal(table[:, 1:4], full_concentrations(c_reg))
+        assert np.array_equal(table[:, 4:], c_to_w(c_reg))
 
     def test_byte_identical_reruns(self, tmp_path):
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"
@@ -345,6 +358,35 @@ class TestErrorExits:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command,overrides,message",
+        [
+            ("run", ["length=1e-200"], "length: "),  # h**2 underflows
+            ("run", ["length=1e200"], "length: "),  # h**2 overflows
+            *(
+                (command, overrides, "D: ")
+                for command in ("run", "certify")
+                for overrides in (
+                    ["species=3", "D=1e-320,1,1"],  # 1/D overflows
+                    ["species=3", "D=1e-308,1,1"],  # Delta overflows
+                    ["D=1e200,1e200,1e200"],  # delta**2 underflows
+                )
+            ),
+        ],
+    )
+    def test_data_out_of_float_range_exits_64_before_writing(
+        self, tmp_path, capsys, command, overrides, message
+    ):
+        out = tmp_path / "out"
+        args = [command, "--preset", "heat_check", "--override", "t_end=0.002"]
+        for item in overrides:
+            args += ["--override", item]
+        assert main([*args, "--output-dir", str(out)]) == 64
+        err = capsys.readouterr().err
+        assert f"configuration error: {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_output_dir_that_is_a_file_exits_64(self, tmp_path, capsys):
         afile = tmp_path / "afile"
         afile.write_text("kept\n")
@@ -401,6 +443,19 @@ class TestFailureExitPaths:
         assert summary["exit_status"] == 1
         assert "step 4 failed" in summary["abort"]
         assert (tmp_path / "timeseries.csv").exists()
+
+    def test_abort_at_step_one_reports_no_step_telemetry(self, tmp_path):
+        # the collector's call at step 0 makes the directory and snapshot 0;
+        # flux, uphill and distance-bound telemetry start at step 1
+        out = tmp_path / "out"
+        args = ["run", "--preset", "ternary_uphill", "--override", "picard_max=1"]
+        args += ["--override", "t_end=1e-3", "--override", "snapshot_every=1"]
+        assert main([*args, "--output-dir", str(out)]) == 1
+        summary = json.loads((out / "run_summary.json").read_text())
+        assert summary["steps"] == 0 and summary["snapshots"] == ["snapshot_0000.csv"]
+        assert summary["max_flux_residual"] == 0.0
+        assert summary["uphill_max_product"] is None
+        assert summary["pinsker_margin_min"] is None
 
     def test_audit_failure_exit_two(self, tmp_path, monkeypatch):
         config = self.heat_config(tmp_path)

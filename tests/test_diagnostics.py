@@ -487,7 +487,7 @@ class TestCarriedEvaluation:
             assert record.dissipation_sqrt == sqrt_form
             assert record.entropy == _entropy(grid, cf)
             assert record.relative_entropy == _relative_entropy(
-                grid, cf, result.reference
+                grid, cf, record.reference
             )
             assert np.array_equal(record.masses, integrate(grid, cf))
             assert record.min_c == float(np.min(cf))

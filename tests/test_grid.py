@@ -62,6 +62,23 @@ class TestGrid1D:
             Grid1D(length=length, cells=cells)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "length",
+        [
+            1e-200,  # h**2 underflows to 0
+            4e-160,  # h**2 = 1e-320 is subnormal and 1/h**2 overflows
+            1e200,  # h**2 overflows
+        ],
+    )
+    def test_rejects_cell_widths_whose_square_leaves_the_floats(self, length):
+        with pytest.raises(ValidationError) as info:
+            Grid1D(length=length, cells=4)
+        assert str(info.value).startswith("length: cell width ")
+
+    @pytest.mark.parametrize("length", [1e-80, 1e80])
+    def test_accepts_extreme_cell_widths_with_a_float_square(self, length):
+        assert Grid1D(length=length, cells=4).h == length / 4
+
     def test_numpy_scalars_are_numbers(self):
         grid = Grid1D(length=np.float64(2.0), cells=np.int64(4))
         assert grid.h == 0.5 and grid.centers.size == 4

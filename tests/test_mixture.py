@@ -26,6 +26,7 @@ from msdiff import (
     NotStrictlyAdmissible,
     ProductionLaw,
     SingularA0,
+    ValidationError,
     WrongSpeciesCount,
     c_to_w,
     diffusivity_matrix_from_upper,
@@ -119,6 +120,40 @@ class TestNewMixtureSpec:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             new_mixture_spec(4, np.ones((3, 3)))
+
+    @pytest.mark.filterwarnings("error")  # an overflow warning first fails too
+    @pytest.mark.parametrize(
+        "n_species,upper,message",
+        [
+            (3, [1e-320, 1.0, 1.0], "D: 1/D_ij or Delta"),  # 1/D_12 = inf
+            (3, [1e-308, 1.0, 1.0], "D: 1/D_ij or Delta"),  # Delta = inf
+            (3, [1e200] * 3, "D: delta**2 = 1e-200**2"),  # underflows to 0
+            (6, [1e80] * 15, "D: delta**5 = 1e-80**5"),
+        ],
+    )
+    def test_friction_data_outside_the_floats_rejected(
+        self, n_species, upper, message
+    ):
+        D = diffusivity_matrix_from_upper(upper, n_species)
+        with pytest.raises(ValidationError) as info:
+            new_mixture_spec(n_species, D)
+        assert str(info.value).startswith(message)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "n_species,upper",
+        [
+            (3, [1e-307, 1.0, 1.0]),  # Delta = 4e307 still fits
+            (5, [1e80] * 10),  # delta**4 = 1e-320 is subnormal, not 0
+        ],
+    )
+    def test_extreme_friction_data_inside_the_floats_accepted(
+        self, n_species, upper
+    ):
+        spec = new_mixture_spec(
+            n_species, diffusivity_matrix_from_upper(upper, n_species)
+        )
+        assert 0.0 < spec.delta ** (n_species - 1) and spec.Delta < math.inf
 
     def test_upper_triangle_fill(self):
         D = diffusivity_matrix_from_upper([1.0, 2.0, 3.0], 3)

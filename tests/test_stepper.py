@@ -531,19 +531,39 @@ class TestRunSimulation:
 
     def test_hooks_see_every_step(self):
         spec, grid, params, c0 = heat_setup(t_end=0.005)
+        c_reg = regularize_initial(spec, c0, params.eta_floor)
         seen = []
 
         def hook(k, t, cf, w, record):
-            # the solver's N+1 fractions of w, read-only like w itself
+            # read-only like w itself: at step 0 the regularized data's N+1
+            # fractions, afterwards the solver's N+1 fractions of w
             assert cf.shape == (grid.cells, spec.n_species)
             assert w.shape == (grid.cells, spec.n_reduced)
             assert not cf.flags.writeable and not w.flags.writeable
-            assert np.array_equal(cf[:, :-1], w_to_c(w))
+            if k == 0:
+                assert t == 0.0
+                assert np.array_equal(cf, full_concentrations(c_reg))
+                assert np.array_equal(w, c_to_w(c_reg))
+            else:
+                assert np.array_equal(cf[:, :-1], w_to_c(w))
             assert record.time == pytest.approx(t)
             seen.append(k)
 
         run_simulation(spec, grid, params, c0, hooks=[hook])
-        assert seen == [1, 2, 3, 4, 5]
+        assert seen == [0, 1, 2, 3, 4, 5]
+
+    def test_every_record_holds_the_one_reference(self):
+        spec, grid, params, c0 = heat_setup(t_end=0.005)
+        held = []
+        result = run_simulation(
+            spec, grid, params, c0, hooks=[lambda *a: held.append(a[-1].reference)]
+        )
+        ref = result.records[0].reference
+        assert not ref.flags.writeable
+        assert all(r.reference is ref for r in result.records)
+        assert all(r is ref for r in held) and len(held) == 6
+        assert np.array_equal(ref, result.initial_masses / result.initial_masses.sum())
+        assert not hasattr(result, "reference")
 
     def test_enforce_mode_aborts_on_audit_failure(self, monkeypatch):
         spec, grid, params, c0 = heat_setup(t_end=0.01)
