@@ -26,23 +26,16 @@ from .diagnostics import (
 )
 from .errors import (
     AuditFailure,
-    DimensionMismatch,
-    InadmissibleInitialData,
     InadmissibleState,
     InsufficientData,
-    InvalidProductionLaw,
     MsdiffError,
     NonPositiveEntropy,
-    NonPositiveOffDiagonal,
-    NonSymmetricD,
     NonlinearDivergence,
-    NotStrictlyAdmissible,
     NotSymmetric,
     ParseError,
     SimulationAborted,
     SingularA0,
     ValidationError,
-    WrongSpeciesCount,
 )
 from .grid import (
     Grid1D,
@@ -97,19 +90,13 @@ __all__ = [
     "AuditFailure",
     "AuditVerdict",
     "DiagnosticsRecord",
-    "DimensionMismatch",
     "Grid1D",
-    "InadmissibleInitialData",
     "InadmissibleState",
     "InsufficientData",
-    "InvalidProductionLaw",
     "MixtureSpec",
     "MsdiffError",
     "NonPositiveEntropy",
-    "NonPositiveOffDiagonal",
-    "NonSymmetricD",
     "NonlinearDivergence",
-    "NotStrictlyAdmissible",
     "NotSymmetric",
     "PRESETS",
     "ParseError",
@@ -122,7 +109,6 @@ __all__ = [
     "SpectrumReport",
     "StepResult",
     "ValidationError",
-    "WrongSpeciesCount",
     "advance_step",
     "audit_step",
     "build_initial",

@@ -7,7 +7,7 @@ bundled scenarios.  All floating-point output uses shortest round-trip
 formatting, so identical configurations produce byte-identical files.
 
 Exit codes: 0 clean, 1 solver abort, 2 audit or certification failure,
-64 configuration error.
+64 configuration error (a ``ParseError`` or ``ValidationError``).
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .config import (
 from .diagnostics import fit_decay_rate, reconstruct_fluxes
 from .errors import (
     AuditFailure,
-    InadmissibleInitialData,
     InsufficientData,
     NonPositiveEntropy,
     ParseError,
@@ -444,7 +443,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = config_from_pairs(_collect_pairs(args))
         return (run_scenario if args.command == "run" else certify)(config)
-    except (ParseError, ValidationError, InadmissibleInitialData) as exc:
+    except (ParseError, ValidationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
     except UnicodeDecodeError as exc:
         print(f"cannot read/write: {args.config}: {exc}", file=sys.stderr)

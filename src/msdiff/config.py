@@ -26,31 +26,6 @@ from .scenarios import PRESETS, build_initial
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Validated settings for one simulation or certification run."""
-
-    species: int
-    d_upper: tuple[float, ...]
-    production: str = "zero"
-    length: float = 1.0
-    cells: int = 128
-    tau: float | None = None
-    t_end: float | None = None
-    eps: float = 1e-8
-    picard_tol: float = 1e-10
-    picard_max: int = 200
-    eta_floor: float = 1e-8
-    initial: str = "uniform"
-    scenario: str | None = None
-    output_dir: str = "msdiff_out"
-    snapshot_every: int = 0
-    record_every: int = 1
-    audit: str = "enforce"
-    seed: int = 0
-    samples: int = 1000
-
-
-@dataclass(frozen=True)
 class SchemeParams:
     """Knobs of the implicit scheme.
 
@@ -83,6 +58,31 @@ class SchemeParams:
             _check(key, value)
         if not self.eps > 0.0:
             raise ValidationError("eps", "must be positive to run a simulation")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Validated settings for one simulation or certification run."""
+
+    species: int
+    d_upper: tuple[float, ...]
+    production: str = "zero"
+    length: float = 1.0
+    cells: int = 128
+    tau: float | None = None
+    t_end: float | None = None
+    eps: float = SchemeParams.eps
+    picard_tol: float = SchemeParams.picard_tol
+    picard_max: int = SchemeParams.picard_max
+    eta_floor: float = SchemeParams.eta_floor
+    initial: str = "uniform"
+    scenario: str | None = None
+    output_dir: str = "msdiff_out"
+    snapshot_every: int = 0
+    record_every: int = 1
+    audit: str = "enforce"
+    seed: int = 0
+    samples: int = 1000
 
 
 def _parse_int(key: str, value: str) -> int:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InsufficientData, NonPositiveEntropy
+from .errors import InsufficientData, NonPositiveEntropy, ValidationError
 from .grid import Grid1D, divergence, face_gradient, integrate
 from .mixture import (
     MixtureSpec,
@@ -145,7 +145,7 @@ def reconstruct_fluxes(
     """
     c = _require_admissible(c)
     if c.shape[0] != grid.cells:
-        raise DimensionMismatch("concentration field rows must match cells")
+        raise ValidationError("c", "concentration field rows must match cells")
     h = grid.h
     n1 = spec.n_species
     c_face = 0.5 * (c[:-1] + c[1:])

@@ -1,13 +1,23 @@
 """Exception hierarchy for the msdiff package.
 
-Construction-time errors signal ill-formed inputs (bad diffusivity matrices,
-inadmissible states, malformed configs).  Runtime errors signal solver
-breakdown (``SimulationAborted``, once a step's ``NonlinearDivergence``
-persists through five step-size halvings) or a step that failed its audit
-(``AuditFailure``); a run either finishes with every audit passed or
-raises one of them, whose ``partial`` result ends at the last state
-reached.  The command line maps the three kinds to the exit codes 64, 1
-and 2.
+One class per kind of failure, not per argument that failed:
+
+- ``ValidationError`` is a rejected input: a library argument or a
+  configuration value outside its domain, named by its ``key``.
+  ``ParseError`` is configuration text that is not ``key=value`` lines.
+  The command line maps both to exit 64.
+- ``InadmissibleState`` is a state off the composition simplex, or off its
+  interior where a kernel needs an interior point.  ``NotSymmetric`` is a
+  matrix the symmetric eigensolver cannot take, ``SingularA0`` a reduced
+  friction matrix reported singular, which validated mixtures never give.
+- ``NonlinearDivergence`` is a failed step attempt, which the time loop
+  retries with a halved step; ``SimulationAborted`` is a step that still
+  fails after five halvings (exit 1), ``AuditFailure`` a step that failed
+  its audit (exit 2).  A run either finishes with every audit passed or
+  raises one of the two, whose ``partial`` result ends at the last state
+  reached.
+- ``InsufficientData`` and ``NonPositiveEntropy`` are decay-rate fits
+  without data to fit.
 """
 
 from __future__ import annotations
@@ -21,43 +31,17 @@ class MsdiffError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# mixture construction and state validation
-
-
-class NonSymmetricD(MsdiffError):
-    """Binary diffusivity matrix is not symmetric."""
-
-
-class NonPositiveOffDiagonal(MsdiffError):
-    """A binary diffusivity D_ij (i != j) is zero or negative."""
-
-
-class DimensionMismatch(MsdiffError):
-    """Array shape incompatible with the declared species count."""
-
-
-class NotStrictlyAdmissible(MsdiffError):
-    """State touches the boundary of the composition simplex."""
+# states and matrices
 
 
 class InadmissibleState(MsdiffError):
-    """State has a negative fraction or fractions summing above one."""
+    """State off the composition simplex: a negative fraction or fractions
+    summing above one, or, where an interior point is needed, a fraction
+    (the implied last one too) below ``EPS_ADMISSIBLE``."""
 
 
 class SingularA0(MsdiffError):
     """Reduced friction matrix reported singular; indicates corrupted input."""
-
-
-class WrongSpeciesCount(MsdiffError):
-    """Production law applied to a mixture with the wrong species count."""
-
-
-class InvalidProductionLaw(MsdiffError):
-    """Production law of an unknown ``kind``."""
-
-
-# ---------------------------------------------------------------------------
-# spectral analysis
 
 
 class NotSymmetric(MsdiffError):
@@ -66,10 +50,6 @@ class NotSymmetric(MsdiffError):
 
 # ---------------------------------------------------------------------------
 # time stepping
-
-
-class InadmissibleInitialData(MsdiffError):
-    """Initial concentrations not inside the closed composition simplex."""
 
 
 class NonlinearDivergence(MsdiffError):
@@ -124,7 +104,10 @@ class ParseError(MsdiffError):
 
 
 class ValidationError(MsdiffError):
-    """Config key holds a value outside its documented domain."""
+    """A rejected input: ``key`` names the configuration key or library
+    argument (``D``, ``species``, ``production``, ``initial``, ``eta_floor``,
+    ``c``, ...) whose value lies outside its documented domain, ``reason``
+    says why."""
 
     def __init__(self, key: str, reason: str):
         super().__init__(f"{key}: {reason}")

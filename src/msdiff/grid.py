@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, ValidationError, _require_number
+from .errors import ValidationError, _require_number
 
 
 @dataclass(frozen=True)
@@ -47,11 +47,11 @@ class Grid1D:
         return (np.arange(self.cells) + 0.5) * self.h
 
 
-def _check_cells(grid: Grid1D, f: np.ndarray, what: str) -> np.ndarray:
+def _check_cells(grid: Grid1D, f: np.ndarray) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     if f.shape[0] != grid.cells:
-        raise DimensionMismatch(
-            f"{what} must have {grid.cells} rows, got {f.shape[0]}"
+        raise ValidationError(
+            "f", f"cell field must have {grid.cells} rows, got {f.shape[0]}"
         )
     return f
 
@@ -61,7 +61,7 @@ def face_gradient(grid: Grid1D, f: np.ndarray) -> np.ndarray:
 
     ``f`` is ``(M,)`` or ``(M, k)``; the result gains one row.
     """
-    f = _check_cells(grid, f, "cell field")
+    f = _check_cells(grid, f)
     out = np.zeros((grid.cells + 1,) + f.shape[1:])
     out[1:-1] = (f[1:] - f[:-1]) / grid.h
     return out
@@ -71,8 +71,8 @@ def divergence(grid: Grid1D, flux: np.ndarray) -> np.ndarray:
     """Per-cell face-flux balance ``(flux[m+1] - flux[m]) / h``."""
     flux = np.asarray(flux, dtype=float)
     if flux.shape[0] != grid.cells + 1:
-        raise DimensionMismatch(
-            f"face field must have {grid.cells + 1} rows, got {flux.shape[0]}"
+        raise ValidationError(
+            "flux", f"face field must have {grid.cells + 1} rows, got {flux.shape[0]}"
         )
     return (flux[1:] - flux[:-1]) / grid.h
 
@@ -100,6 +100,6 @@ def laplacian_squared_lower_bands(grid: Grid1D) -> tuple[np.ndarray, ...]:
 
 def integrate(grid: Grid1D, f: np.ndarray) -> np.ndarray | float:
     """Midpoint-rule integral over the interval: ``h * sum`` along axis 0."""
-    f = _check_cells(grid, f, "cell field")
+    f = _check_cells(grid, f)
     total = f.sum(axis=0) * grid.h
     return float(total) if np.ndim(total) == 0 else total

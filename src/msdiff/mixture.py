@@ -43,17 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InadmissibleState,
-    InvalidProductionLaw,
-    NonPositiveOffDiagonal,
-    NonSymmetricD,
-    NotStrictlyAdmissible,
-    SingularA0,
-    ValidationError,
-    WrongSpeciesCount,
-)
+from .errors import InadmissibleState, SingularA0, ValidationError
 
 # Strict admissibility floor: states closer than this to the simplex boundary
 # are treated as boundary states by operations that need interior points.
@@ -104,8 +94,8 @@ def production_rates(law: ProductionLaw, c_full: np.ndarray) -> np.ndarray:
         return np.zeros_like(c_full)
     if law.kind == "quaternary_reversible":
         if n != 5:
-            raise WrongSpeciesCount(
-                f"quaternary_reversible law needs 5 species, got {n}"
+            raise ValidationError(
+                "production", f"quaternary_reversible law needs 5 species, got {n}"
             )
         q = c_full[..., 1] * c_full[..., 3] - c_full[..., 0] * c_full[..., 2]
         r = np.zeros_like(c_full)
@@ -115,7 +105,7 @@ def production_rates(law: ProductionLaw, c_full: np.ndarray) -> np.ndarray:
         r[..., 3] = -q
         # r_5 stays zero; the first four cancel pairwise, so the sum is exact
         return r
-    raise InvalidProductionLaw(f"unknown production law kind {law.kind!r}")
+    raise ValidationError("production", f"unknown production law kind {law.kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +147,8 @@ def diffusivity_matrix_from_upper(values, n_species: int) -> np.ndarray:
     values = [float(v) for v in values]
     expect = n_species * (n_species - 1) // 2
     if len(values) != expect:
-        raise DimensionMismatch(
+        raise ValidationError(
+            "D",
             f"{n_species} species need {expect} upper-triangle diffusivities, "
             f"got {len(values)}"
         )
@@ -179,21 +170,22 @@ def new_mixture_spec(
     """Validate diffusivities and precompute friction data.
 
     Requires at least three species, a symmetric ``(n, n)`` matrix ``D`` and
-    strictly positive off-diagonal entries.  The diagonal of ``D`` is ignored
-    (stored as zero).
+    strictly positive off-diagonal entries whose friction data fit in a
+    float.  The diagonal of ``D`` is ignored (stored as zero).
     """
     if n_species < 3:
-        raise WrongSpeciesCount("at least 3 species are required")
+        raise ValidationError("species", "at least 3 species are required")
     D = np.array(D, dtype=float)
     if D.shape != (n_species, n_species):
-        raise DimensionMismatch(
-            f"expected diffusivity shape {(n_species, n_species)}, got {D.shape}"
+        raise ValidationError(
+            "D",
+            f"expected diffusivity shape {(n_species, n_species)}, got {D.shape}",
         )
     if not np.array_equal(D, D.T):
-        raise NonSymmetricD("binary diffusivities must satisfy D_ij = D_ji")
+        raise ValidationError("D", "binary diffusivities must satisfy D_ij = D_ji")
     off = ~np.eye(n_species, dtype=bool)
     if np.any(D[off] <= 0.0):
-        raise NonPositiveOffDiagonal("all D_ij with i != j must be positive")
+        raise ValidationError("D", "all D_ij with i != j must be positive")
     D = D.copy()
     np.fill_diagonal(D, 0.0)
     d = np.zeros_like(D)
@@ -204,6 +196,13 @@ def new_mixture_spec(
     # the audit's 4/Delta bound and det A0 >= delta**N > 0 need both in range
     if not Delta < math.inf:
         raise ValidationError("D", "1/D_ij or Delta = 2 sum 1/D_ij overflows")
+    if n_species == 3:
+        # the closed-form det A0 is linear in c; at the corners of the
+        # simplex it is d_12 d_13, d_12 d_23 or d_13 d_23
+        with np.errstate(over="ignore"):
+            top = max(d[0, 1] * d[0, 2], d[0, 1] * d[1, 2], d[0, 2] * d[1, 2])
+        if not top < math.inf:
+            raise ValidationError("D", "det A0 = d_ij d_ik at a corner overflows")
     n = n_species - 1
     if min(delta, 1.0) ** n == 0.0:
         raise ValidationError(
@@ -212,7 +211,8 @@ def new_mixture_spec(
     if production is None:
         production = ProductionLaw.zero()
     if production.n_species and production.n_species != n_species:
-        raise WrongSpeciesCount(
+        raise ValidationError(
+            "production",
             f"production law expects {production.n_species} species, "
             f"mixture has {n_species}"
         )
@@ -267,7 +267,7 @@ def _require_strict(c: np.ndarray) -> np.ndarray:
     >= ``EPS_ADMISSIBLE``."""
     c = np.asarray(c, dtype=float)
     if not _within(c, EPS_ADMISSIBLE, 1.0 - EPS_ADMISSIBLE):
-        raise NotStrictlyAdmissible(
+        raise InadmissibleState(
             f"state touches the simplex boundary (floor {EPS_ADMISSIBLE:g})"
         )
     return c

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotSymmetric
+from .errors import NotSymmetric, ValidationError
 from .mixture import MixtureSpec, friction_matrix_symmetric, reduced_friction_matrix
 
 
@@ -55,7 +55,7 @@ def symmetric_spectrum(M: np.ndarray) -> np.ndarray:
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {M.shape}")
+        raise ValidationError("M", f"expected a square matrix, got shape {M.shape}")
     scale = max(1.0, float(np.abs(M).max()))
     asym = float(np.abs(M - M.T).max())
     if asym > 1e-8 * scale:

@@ -55,10 +55,8 @@ from .diagnostics import (
 )
 from .errors import (
     AuditFailure,
-    DimensionMismatch,
-    InadmissibleInitialData,
+    InadmissibleState,
     NonlinearDivergence,
-    NotStrictlyAdmissible,
     SimulationAborted,
     ValidationError,
 )
@@ -182,17 +180,18 @@ def regularize_initial(spec: MixtureSpec, c0: np.ndarray, eta: float) -> np.ndar
         raise ValidationError("eta_floor", f"must lie in (0, 1/{n1})")
     c0 = np.asarray(c0, dtype=float)
     if c0.ndim != 2 or c0.shape[1] != spec.n_reduced:
-        raise DimensionMismatch(
-            f"initial data must be (cells, {spec.n_reduced}), got {c0.shape}"
+        raise ValidationError(
+            "initial",
+            f"initial data must be (cells, {spec.n_reduced}), got {c0.shape}",
         )
     if np.any(c0 < 0.0):
-        raise InadmissibleInitialData("negative initial fraction")
+        raise ValidationError("initial", "negative initial fraction")
     if np.any(c0.sum(axis=-1) > 1.0 + 1e-12):
-        raise InadmissibleInitialData("initial fractions exceed unit sum")
+        raise ValidationError("initial", "initial fractions exceed unit sum")
     try:
         return _require_strict((1.0 - n1 * eta) * c0 + eta)
-    except NotStrictlyAdmissible as exc:
-        raise InadmissibleInitialData(f"eta_floor {eta:g}: {exc}") from None
+    except InadmissibleState as exc:
+        raise ValidationError("eta_floor", f"{eta:g} is too small: {exc}") from None
 
 
 class _Workspace:

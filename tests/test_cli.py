@@ -354,7 +354,7 @@ class TestErrorExits:
         args = ["run", "--preset", "ternary_uphill", "--override", override]
         assert main([*args, "--output-dir", str(out)]) == 64
         err = capsys.readouterr().err
-        assert f"configuration error: eta_floor {eta}: " in err
+        assert f"configuration error: eta_floor: {eta} is too small: " in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -385,6 +385,31 @@ class TestErrorExits:
         err = capsys.readouterr().err
         assert f"configuration error: {message}" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["run", "certify"])
+    @pytest.mark.parametrize(
+        "preset,D",
+        [
+            ("heat_check", "1e-160,1e-160,1e-160"),  # d_ij d_ik = 1e320
+            ("ternary_uphill", "1e-307,1e-2,1"),  # d_12 d_13 = 1e309
+            ("ternary_uphill", "1e-300,1e-9,1"),  # d_12 d_13 = 1e309
+        ],
+    )
+    def test_overflowing_det_a0_exits_64_before_writing(
+        self, tmp_path, capsys, command, preset, D
+    ):
+        # three species form det A0 in closed form; at a corner of the
+        # simplex it is a product d_ij d_ik, which these mixtures overflow
+        out = tmp_path / "out"
+        short = "t_end=0.002" if command == "run" else "samples=20"
+        args = [command, "--preset", preset, "--override", short]
+        args += ["--override", f"D={D}", "--output-dir", str(out)]
+        assert main(args) == 64
+        err = capsys.readouterr().err
+        assert "configuration error: D: " in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
         assert not out.exists()
 
     def test_output_dir_that_is_a_file_exits_64(self, tmp_path, capsys):

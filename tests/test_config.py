@@ -1,6 +1,6 @@
 """Configuration parsing: key=value documents, presets, and materialization."""
 
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from msdiff import (
     materialize_spec,
     scan_config_lines,
 )
-from msdiff.config import _KEYS
+from msdiff.config import _KEYS, _SCHEME_KEYS
 
 MINIMAL = "species=3\nD=1,2,3\ncells=64\ntau=1e-3\nt_end=1.0"
 
@@ -221,6 +221,15 @@ class TestMaterialize:
             with pytest.raises(ValidationError) as from_config:
                 parse(f"{MINIMAL}\n{key}={value}")
             assert str(from_config.value) == message
+
+    def test_scheme_defaults_have_one_source(self):
+        # a config without the key runs with the library's default
+        run = {f.name: f.default for f in fields(RunConfig)}
+        scheme = {f.name: f.default for f in fields(SchemeParams)}
+        defaulted = [key for key in _SCHEME_KEYS if scheme[key] is not MISSING]
+        assert defaulted == ["eps", "picard_tol", "picard_max", "eta_floor"]
+        for key in defaulted:
+            assert run[key] == scheme[key], key
 
     def test_zero_eps_parses_but_cannot_run(self):
         assert parse(MINIMAL + "\neps=0").eps == 0.0

@@ -16,6 +16,7 @@ from msdiff import (
     NonPositiveEntropy,
     ProductionLaw,
     SchemeParams,
+    ValidationError,
     audit_step,
     c_to_w,
     config_from_pairs,
@@ -237,6 +238,15 @@ class TestReconstructFluxes:
             reconstruct_fluxes(spec, grid, np.tile([0.7, 0.4], (4, 1)))
         with pytest.raises(InadmissibleState):
             reconstruct_fluxes(spec, grid, np.tile([-1e-9, 0.5], (4, 1)))
+
+    def test_rejects_a_field_of_another_grid(self):
+        spec, grid = ternary_123_spec(), Grid1D(1.0, 4)
+        with pytest.raises(ValidationError) as info:
+            reconstruct_fluxes(spec, grid, np.full((5, 2), 0.3))
+        assert (info.value.key, info.value.reason) == (
+            "c",
+            "concentration field rows must match cells",
+        )
 
 
 def exponential_records(rate=2.0, n=40, t_end=2.0, noise=0.0, seed=0):

@@ -10,7 +10,6 @@ from scipy.sparse import diags
 
 import msdiff
 from msdiff import (
-    DimensionMismatch,
     Grid1D,
     ValidationError,
     divergence,
@@ -103,8 +102,12 @@ class TestFaceGradient:
         np.testing.assert_allclose(g, [0.0, 0.0, 4.0, -4.0, 0.0], atol=1e-13)
 
     def test_shape_check(self, grid4):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError) as info:
             face_gradient(grid4, np.ones((5, 2)))
+        assert (info.value.key, info.value.reason) == (
+            "f",
+            "cell field must have 4 rows, got 5",
+        )
 
 
 class TestDivergence:

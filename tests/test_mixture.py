@@ -18,16 +18,10 @@ from hypothesis.extra import numpy as hnp
 
 from msdiff import (
     EPS_ADMISSIBLE,
-    DimensionMismatch,
     InadmissibleState,
-    InvalidProductionLaw,
-    NonPositiveOffDiagonal,
-    NonSymmetricD,
-    NotStrictlyAdmissible,
     ProductionLaw,
     SingularA0,
     ValidationError,
-    WrongSpeciesCount,
     c_to_w,
     diffusivity_matrix_from_upper,
     friction_matrix,
@@ -74,9 +68,14 @@ def admits(check, c):
     """Whether the private admissibility check ``check`` lets ``c`` through."""
     try:
         check(c)
-    except (InadmissibleState, NotStrictlyAdmissible):
+    except InadmissibleState:
         return False
     return True
+
+
+def assert_rejected(info, key, reason):
+    """The ``ValidationError`` caught in ``info`` names ``key`` and ``reason``."""
+    assert (info.value.key, info.value.reason) == (key, reason)
 
 
 def random_interior_state(rng, n_species):
@@ -104,22 +103,34 @@ class TestNewMixtureSpec:
 
     def test_negative_cross_diffusivity_rejected(self):
         D = np.array([[0.0, -1.0, 1.0], [-1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-        with pytest.raises(NonPositiveOffDiagonal):
+        with pytest.raises(ValidationError) as info:
             new_mixture_spec(3, D)
+        assert_rejected(info, "D", "all D_ij with i != j must be positive")
 
     def test_asymmetric_matrix_rejected(self):
         D = np.array([[0.0, 1.0, 2.0], [1.5, 0.0, 1.0], [2.0, 1.0, 0.0]])
-        with pytest.raises(NonSymmetricD):
+        with pytest.raises(ValidationError) as info:
             new_mixture_spec(3, D)
+        assert_rejected(info, "D", "binary diffusivities must satisfy D_ij = D_ji")
 
     def test_two_species_rejected(self):
         D = np.array([[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(WrongSpeciesCount):
+        with pytest.raises(ValidationError) as info:
             new_mixture_spec(2, D)
+        assert_rejected(info, "species", "at least 3 species are required")
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError) as info:
             new_mixture_spec(4, np.ones((3, 3)))
+        assert_rejected(info, "D", "expected diffusivity shape (4, 4), got (3, 3)")
+
+    def test_production_law_species_mismatch_rejected(self):
+        law = ProductionLaw.quaternary_reversible()
+        with pytest.raises(ValidationError) as info:
+            new_mixture_spec(4, diffusivity_matrix_from_upper([1.0] * 6, 4), law)
+        assert_rejected(
+            info, "production", "production law expects 5 species, mixture has 4"
+        )
 
     @pytest.mark.filterwarnings("error")  # an overflow warning first fails too
     @pytest.mark.parametrize(
@@ -129,6 +140,10 @@ class TestNewMixtureSpec:
             (3, [1e-308, 1.0, 1.0], "D: 1/D_ij or Delta"),  # Delta = inf
             (3, [1e200] * 3, "D: delta**2 = 1e-200**2"),  # underflows to 0
             (6, [1e80] * 15, "D: delta**5 = 1e-80**5"),
+            # the closed-form det A0 of three species reaches d_ij d_ik = inf
+            (3, [1e-160] * 3, "D: det A0 = d_ij d_ik at a corner overflows"),
+            (3, [1e-307, 1e-2, 1.0], "D: det A0 = d_ij d_ik at a corner overflows"),
+            (3, [1e-300, 1e-9, 1.0], "D: det A0 = d_ij d_ik at a corner overflows"),
         ],
     )
     def test_friction_data_outside_the_floats_rejected(
@@ -143,8 +158,10 @@ class TestNewMixtureSpec:
     @pytest.mark.parametrize(
         "n_species,upper",
         [
-            (3, [1e-307, 1.0, 1.0]),  # Delta = 4e307 still fits
+            (3, [1e-307, 1.0, 1.0]),  # Delta = 4e307 and det A0 <= 1e307 fit
             (5, [1e80] * 10),  # delta**4 = 1e-320 is subnormal, not 0
+            (3, [1e-150] * 3),  # det A0 <= 1e300
+            (4, [1e-160] * 6),  # LAPACK inverts A0; no closed-form det A0
         ],
     )
     def test_extreme_friction_data_inside_the_floats_accepted(
@@ -153,7 +170,13 @@ class TestNewMixtureSpec:
         spec = new_mixture_spec(
             n_species, diffusivity_matrix_from_upper(upper, n_species)
         )
-        assert 0.0 < spec.delta ** (n_species - 1) and spec.Delta < math.inf
+        assert 0.0 < min(spec.delta, 1.0) ** (n_species - 1)
+        assert spec.Delta < math.inf
+        # the vertices of the simplex, where det A0 is a product d_ij d_ik,
+        # and its centre
+        n = n_species - 1
+        c = np.vstack([np.eye(n), np.zeros(n), np.full(n, 1.0 / n_species)])
+        assert np.isfinite(mobility_matrix(spec, c)).all()
 
     def test_upper_triangle_fill(self):
         D = diffusivity_matrix_from_upper([1.0, 2.0, 3.0], 3)
@@ -162,8 +185,11 @@ class TestNewMixtureSpec:
         assert np.all(np.diag(D) == 0.0)
 
     def test_upper_triangle_wrong_count(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError) as info:
             diffusivity_matrix_from_upper([1.0, 2.0], 3)
+        assert_rejected(
+            info, "D", "3 species need 3 upper-triangle diffusivities, got 2"
+        )
 
     def test_spec_is_frozen(self):
         spec = equal_d_spec()
@@ -226,7 +252,7 @@ class TestFrictionMatrix:
 
     def test_symmetrized_rejects_boundary(self):
         spec = equal_d_spec()
-        with pytest.raises(NotStrictlyAdmissible):
+        with pytest.raises(InadmissibleState, match="touches the simplex boundary"):
             friction_matrix_symmetric(spec, np.array([0.0, 0.5]))
 
     def test_similarity_to_plain_friction(self):
@@ -641,7 +667,7 @@ class TestTransforms:
         np.testing.assert_allclose(cf[:, -1], exact, rtol=1e-13)
 
     def test_c_to_w_rejects_boundary(self):
-        with pytest.raises(NotStrictlyAdmissible):
+        with pytest.raises(InadmissibleState, match="touches the simplex boundary"):
             c_to_w(np.array([1.0, 0.0]))
 
     def test_field_shaped_transform(self):
@@ -719,12 +745,16 @@ class TestProductionLaws:
 
     def test_quaternary_wrong_species_count(self):
         law = ProductionLaw.quaternary_reversible()
-        with pytest.raises(WrongSpeciesCount):
+        with pytest.raises(ValidationError) as info:
             production_rates(law, np.array([0.2, 0.3, 0.5]))
+        assert_rejected(
+            info, "production", "quaternary_reversible law needs 5 species, got 3"
+        )
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(InvalidProductionLaw):
+        with pytest.raises(ValidationError) as info:
             production_rates(ProductionLaw(kind="fission"), np.array([0.2, 0.3, 0.5]))
+        assert_rejected(info, "production", "unknown production law kind 'fission'")
 
     def test_field_evaluation(self):
         law = ProductionLaw.quaternary_reversible()

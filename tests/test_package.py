@@ -24,13 +24,22 @@ def test_retired_names_are_gone():
     # checked twins of the record's private kernels, and their exceptions;
     # an empty base of AuditFailure; the banded-solve failure, now a
     # NonlinearDivergence that the time loop retries; the guard of a carried
-    # evaluation, which the workspace now carries alone
+    # evaluation, which the workspace now carries alone; the per-argument
+    # rejections, now one ValidationError naming the argument, and the
+    # interior-state error, now an InadmissibleState
     for name in (
         "AuditError",
         "BadReference",
+        "DimensionMismatch",
         "DissipationContractViolation",
+        "InadmissibleInitialData",
         "InconsistentFields",
+        "InvalidProductionLaw",
         "LinearSolveFailure",
+        "NonPositiveOffDiagonal",
+        "NonSymmetricD",
+        "NotStrictlyAdmissible",
+        "WrongSpeciesCount",
         "dissipation",
         "entropy_functional",
         "entropy_hessian_inverse",

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from msdiff import (
-    DimensionMismatch,
     NotSymmetric,
     SpectrumReport,
+    ValidationError,
     certify_friction_spectrum,
     certify_reduced_spectrum,
     friction_matrix,
@@ -39,8 +39,12 @@ class TestSymmetricSpectrum:
             symmetric_spectrum(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
     def test_rejects_rectangular(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError) as info:
             symmetric_spectrum(np.ones((2, 3)))
+        assert (info.value.key, info.value.reason) == (
+            "M",
+            "expected a square matrix, got shape (2, 3)",
+        )
 
     def test_tiny_asymmetry_averaged(self):
         M = np.array([[2.0, 1.0 + 1e-12], [1.0, 2.0]])

@@ -16,9 +16,7 @@ from scipy.optimize import fsolve
 import msdiff.stepper
 from msdiff import (
     AuditFailure,
-    DimensionMismatch,
     Grid1D,
-    InadmissibleInitialData,
     NonlinearDivergence,
     ProductionLaw,
     SchemeParams,
@@ -184,30 +182,50 @@ class TestRegularizeInitial:
 
     def test_excess_sum_rejected(self):
         spec = equal_d_spec()
-        with pytest.raises(InadmissibleInitialData):
+        with pytest.raises(ValidationError) as info:
             regularize_initial(spec, np.array([[0.7, 0.5]]), 1e-3)
+        assert (info.value.key, info.value.reason) == (
+            "initial",
+            "initial fractions exceed unit sum",
+        )
 
     def test_negative_fraction_rejected(self):
         spec = equal_d_spec()
-        with pytest.raises(InadmissibleInitialData):
+        with pytest.raises(ValidationError) as info:
             regularize_initial(spec, np.array([[-0.1, 0.5]]), 1e-3)
+        assert (info.value.key, info.value.reason) == (
+            "initial",
+            "negative initial fraction",
+        )
 
     def test_eta_below_strict_floor_rejected(self):
         # the blended vanished species would sit below EPS_ADMISSIBLE, where
         # no entropy variable maps to it
         spec = equal_d_spec()
-        with pytest.raises(InadmissibleInitialData, match="eta_floor"):
+        with pytest.raises(ValidationError) as info:
             regularize_initial(spec, np.array([[1.0, 0.0]]), 1e-16)
+        assert (info.value.key, info.value.reason) == (
+            "eta_floor",
+            "1e-16 is too small: state touches the simplex boundary (floor 1e-14)",
+        )
 
     def test_eta_out_of_range(self):
         spec = equal_d_spec()
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as info:
             regularize_initial(spec, np.array([[0.3, 0.3]]), 0.5)
+        assert (info.value.key, info.value.reason) == (
+            "eta_floor",
+            "must lie in (0, 1/3)",
+        )
 
     def test_shape_mismatch(self):
         spec = equal_d_spec()
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError) as info:
             regularize_initial(spec, np.ones((4, 3)) / 6, 1e-3)
+        assert (info.value.key, info.value.reason) == (
+            "initial",
+            "initial data must be (cells, 2), got (4, 3)",
+        )
 
 
 def banded_system(spec, grid, tau, eps, w_bar, c_prev):
