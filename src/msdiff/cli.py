@@ -304,7 +304,8 @@ def certify(config: RunConfig) -> int:
     ``[delta, Delta)`` and counts its zero eigenvalues (the zero is simple),
     tests every eigenvalue of A0(c) against the same band, and tests that
     the mobility B(c) is symmetric positive definite.  ``passed`` is
-    the AND of ``friction_in_band``, ``reduced_in_band`` and
+    the AND of ``friction_in_band``, a ``friction_zero_multiplicity`` of 1,
+    ``reduced_in_band`` with no zero in the reduced spectrum, and
     ``mobility_spd``.  All samples come from one seeded Dirichlet draw, so a
     seed reproduces ``certify.json`` byte for byte.  Each state is checked
     once, by ``certify_friction_spectrum``, in sample order; the reduced
@@ -345,9 +346,11 @@ def certify(config: RunConfig) -> int:
     del A0, B, Bt  # the JSON encoding below sets the peak memory
     all_passed = True
     for entry, vals, sym_residual, min_eig in batch:
-        reduced_in_band = _band_test(spec, vals)[1]
+        reduced_zeros, reduced_in_band = _band_test(spec, vals)
         spd = sym_residual <= 1e-10 and min_eig > 0.0
-        passed = entry["friction_in_band"] and reduced_in_band and spd
+        # a zero counted twice, or one in A0, hides an eigenvalue from its band
+        simple_zero = entry["friction_zero_multiplicity"] == 1 and not reduced_zeros
+        passed = entry["friction_in_band"] and simple_zero and reduced_in_band and spd
         all_passed = all_passed and passed
         entry.update(
             reduced_eigenvalues=vals,

@@ -5,7 +5,9 @@ blank lines and ``#`` comments ignored.  Diffusivities are given as the
 upper triangle of the symmetric matrix in row-major order, so ``species=3``
 with ``D=1,2,3`` means D12=1, D13=2, D23=3.  Presets are merged below
 explicit keys, and later occurrences of a key win, which gives the layering
-defaults < preset < file < command line.
+defaults < preset < file < command line.  A ``RunConfig`` checks itself
+however it is built, under the mixture and grid rules of ``new_mixture_spec``
+and ``Grid1D``.
 """
 
 from __future__ import annotations
@@ -53,16 +55,17 @@ class SchemeParams:
 
     def __post_init__(self):
         for key in _SCHEME_KEYS:
-            value = getattr(self, key)
-            _require_number(key, value, integer=_KEYS[key][0] is _parse_int)
-            _check(key, value)
+            _check(key, getattr(self, key))
         if not self.eps > 0.0:
             raise ValidationError("eps", "must be positive to run a simulation")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated settings for one simulation or certification run."""
+    """Settings for one simulation or certification run, checked however
+    they are built: each field by its key's type and range, the mixture and
+    grid it names by building them (``materialize_spec``, ``Grid1D``).
+    ``materialize`` requires ``tau`` and ``t_end`` and checks ``initial``."""
 
     species: int
     d_upper: tuple[float, ...]
@@ -84,6 +87,16 @@ class RunConfig:
     seed: int = 0
     samples: int = 1000
 
+    def __post_init__(self):
+        for key in _KEYS:
+            value = self.d_upper if key == "D" else getattr(self, key)
+            if value is not None or key not in ("tau", "t_end"):
+                _check(key, value)
+        for value in self.d_upper:
+            _require_number("D", value)
+        materialize_spec(self)
+        Grid1D(length=self.length, cells=self.cells)
+
 
 def _parse_int(key: str, value: str) -> int:
     try:
@@ -94,34 +107,26 @@ def _parse_int(key: str, value: str) -> int:
 
 def _parse_float(key: str, value: str) -> float:
     try:
-        out = float(value)
+        return float(value)
     except ValueError as exc:
         raise ValidationError(key, f"not a number: {value!r}") from exc
-    _require_number(key, out)
-    return out
 
 
 def _parse_d(key: str, value: str) -> tuple[float, ...]:
-    parts = [p.strip() for p in value.split(",") if p.strip()]
-    if not parts:
-        raise ValidationError(key, "empty diffusivity list")
-    out = tuple(_parse_float(key, p) for p in parts)
-    if any(v <= 0.0 for v in out):
-        raise ValidationError(key, "diffusivities must be positive")
-    return out
+    return tuple(_parse_float(key, p.strip()) for p in value.split(",") if p.strip())
 
 
 # key -> (converter, validator or None, reason shown on validation failure)
 _KEYS = {
-    "species": (_parse_int, lambda v: v >= 3, "needs at least 3 species"),
+    "species": (_parse_int, None, ""),
     "D": (_parse_d, None, ""),
     "production": (
         lambda k, v: v,
         lambda v: v in ("zero", "quaternary_reversible"),
         "must be 'zero' or 'quaternary_reversible'",
     ),
-    "length": (_parse_float, lambda v: v > 0.0, "must be positive"),
-    "cells": (_parse_int, lambda v: v >= 2, "needs at least 2 cells"),
+    "length": (_parse_float, None, ""),
+    "cells": (_parse_int, None, ""),
     "tau": (_parse_float, lambda v: v > 0.0, "must be positive"),
     "t_end": (_parse_float, lambda v: v >= 0.0, "must be nonnegative"),
     "eps": (_parse_float, lambda v: v >= 0.0, "must be nonnegative"),
@@ -145,8 +150,10 @@ _SCHEME_KEYS = ("tau", "t_end", "eps", "picard_tol", "picard_max", "eta_floor")
 
 
 def _check(key: str, value) -> None:
-    """Apply the ``_KEYS`` range of ``key`` to its typed value."""
-    _, check, reason = _KEYS[key]
+    """Hold the typed value of ``key`` to its ``_KEYS`` type and range."""
+    parse, check, reason = _KEYS[key]
+    if parse in (_parse_int, _parse_float):
+        _require_number(key, value, integer=parse is _parse_int)
     if check is not None and not check(value):
         raise ValidationError(key, reason)
 
@@ -190,37 +197,17 @@ def config_from_pairs(pairs: list[tuple[str, str]]) -> RunConfig:
         merged = dict(preset.values)
         merged.update(raw)
         raw = merged
-    typed: dict[str, object] = {}
-    for key, value in raw.items():
-        parsed = _KEYS[key][0](key, value)
-        _check(key, parsed)
-        typed["d_upper" if key == "D" else key] = parsed
-    for required in ("species", "d_upper"):
-        if required not in typed:
-            raise ValidationError(
-                "D" if required == "d_upper" else required, "required key missing"
-            )
-    n1 = typed["species"]
-    expected = n1 * (n1 - 1) // 2
-    if len(typed["d_upper"]) != expected:
-        raise ValidationError(
-            "D",
-            f"{n1} species need {expected} upper-triangle entries, "
-            f"got {len(typed['d_upper'])}",
-        )
-    if typed.get("production") == "quaternary_reversible" and n1 != 5:
-        raise ValidationError(
-            "production", "the quaternary reversible law needs species=5"
-        )
+    for required in ("species", "D"):
+        if required not in raw:
+            raise ValidationError(required, "required key missing")
+    typed = {"d_upper" if k == "D" else k: _KEYS[k][0](k, v) for k, v in raw.items()}
     return RunConfig(**typed)
 
 
 def materialize_spec(config: RunConfig) -> MixtureSpec:
-    """Build just the mixture description of a configuration."""
-    if config.production == "quaternary_reversible":
-        law = ProductionLaw.quaternary_reversible()
-    else:
-        law = ProductionLaw.zero()
+    """The mixture a configuration names, under the rules of
+    ``new_mixture_spec``; ``production`` names a ``ProductionLaw`` builder."""
+    law = getattr(ProductionLaw, config.production)()
     D = diffusivity_matrix_from_upper(config.d_upper, config.species)
     return new_mixture_spec(config.species, D, production=law)
 

@@ -139,11 +139,17 @@ class MixtureSpec:
         return self.n_species - 1
 
 
+def _require_species(n_species: int) -> None:
+    if n_species < 3:
+        raise ValidationError("species", "at least 3 species are required")
+
+
 def diffusivity_matrix_from_upper(values, n_species: int) -> np.ndarray:
     """Build the symmetric diffusivity matrix from its upper triangle.
 
     ``values`` lists D_ij for i < j in row-major order; the diagonal is zero.
     """
+    _require_species(n_species)
     values = [float(v) for v in values]
     expect = n_species * (n_species - 1) // 2
     if len(values) != expect:
@@ -153,13 +159,8 @@ def diffusivity_matrix_from_upper(values, n_species: int) -> np.ndarray:
             f"got {len(values)}"
         )
     D = np.zeros((n_species, n_species))
-    k = 0
-    for i in range(n_species):
-        for j in range(i + 1, n_species):
-            D[i, j] = values[k]
-            D[j, i] = values[k]
-            k += 1
-    return D
+    D[np.triu_indices(n_species, 1)] = values
+    return D + D.T
 
 
 def new_mixture_spec(
@@ -173,8 +174,7 @@ def new_mixture_spec(
     strictly positive off-diagonal entries whose friction data fit in a
     float.  The diagonal of ``D`` is ignored (stored as zero).
     """
-    if n_species < 3:
-        raise ValidationError("species", "at least 3 species are required")
+    _require_species(n_species)
     D = np.array(D, dtype=float)
     if D.shape != (n_species, n_species):
         raise ValidationError(

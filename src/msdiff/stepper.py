@@ -358,7 +358,12 @@ def advance_step(
     if held is not None and held[0].w is w_prev:
         prev = held[0]
     else:
-        prev = _evaluate(spec, np.array(w_prev, dtype=float))
+        w = np.array(w_prev, dtype=float)
+        if w.shape != (grid.cells, spec.n_reduced):
+            raise ValidationError(
+                "w_prev", f"must be ({grid.cells}, {spec.n_reduced}), got {w.shape}"
+            )
+        prev = _evaluate(spec, w)
     c_prev = prev.c
     h_tau = grid.h / tau
     theta = 1.0
@@ -482,6 +487,8 @@ def run_simulation(
     if record_every < 1:
         raise ValidationError("record_every", "must be a positive integer")
     c = regularize_initial(spec, c0, params.eta_floor)
+    if c.shape[0] != grid.cells:
+        raise ValidationError("initial", f"need {grid.cells} rows, got {c.shape[0]}")
     w = c_to_w(c)
     cf = full_concentrations(c)
     masses0 = integrate(grid, cf)

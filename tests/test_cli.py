@@ -602,6 +602,16 @@ class TestCertifyCommand:
         assert main(args) == 0
         assert json.loads((tmp_path / "certify.json").read_text())["all_passed"]
 
+    def test_zero_counted_twice_fails_its_entry(self, tmp_path):
+        # at D_12 = 1e-307 the zero tolerance 1e-9 Delta, about 4e298, also
+        # takes the eigenvalue of -A near 1, which then escapes both bands
+        args = ["certify", "--preset", "heat_check", "--override", "samples=20",
+                "--override", "D=1e-307,1,1", "--output-dir", str(tmp_path)]
+        assert main(args) == 2
+        results = json.loads((tmp_path / "certify.json").read_text())["results"]
+        assert {entry["friction_zero_multiplicity"] for entry in results} == {2}
+        assert not any(entry["passed"] for entry in results)
+
     @pytest.mark.parametrize("preset", ["heat_check", "quaternary_reaction"])
     def test_certify_deterministic_for_seed(self, tmp_path, preset):
         args = lambda d: [
@@ -682,7 +692,8 @@ class TestCertifyCommand:
                     "mobility_symmetry_residual": sym_residual,
                     "mobility_min_eigenvalue": min_eig,
                     "mobility_spd": spd,
-                    "passed": rep_f.in_band and rep_r.in_band and spd,
+                    "passed": rep_f.in_band and rep_f.zero_multiplicity == 1
+                    and rep_r.in_band and rep_r.zero_multiplicity == 0 and spd,
                 }
             )
         assert results == expected

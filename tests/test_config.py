@@ -19,6 +19,7 @@ from msdiff import (
 from msdiff.config import _KEYS, _SCHEME_KEYS
 
 MINIMAL = "species=3\nD=1,2,3\ncells=64\ntau=1e-3\nt_end=1.0"
+MINIMAL_FIELDS = dict(species=3, d_upper=(1.0, 2.0, 3.0), cells=64, tau=1e-3, t_end=1.0)
 
 
 def parse(text):
@@ -116,6 +117,36 @@ class TestParseConfig:
         with pytest.raises(ValidationError) as info:
             parse(MINIMAL + "\n" + line)
         assert info.value.key == key
+
+    @pytest.mark.parametrize(
+        "line,fields,key",
+        [
+            ("cells=one", {"cells": "one"}, "cells"),
+            ("cells=1", {"cells": 1}, "cells"),
+            ("eps=nan", {"eps": float("nan")}, "eps"),
+            ("D=1,-2,3", {"d_upper": (1.0, -2.0, 3.0)}, "D"),
+            ("D=", {"d_upper": ()}, "D"),
+            ("D=1,2", {"d_upper": (1.0, 2.0)}, "D"),
+            ("audit=quiet", {"audit": "quiet"}, "audit"),
+            ("audit=warn", {"audit": "warn"}, "audit"),
+            ("production=fission", {"production": "fission"}, "production"),
+            ("production=quaternary_reversible",
+             {"production": "quaternary_reversible"}, "production"),
+            ("seed=-1", {"seed": -1}, "seed"),
+            ("t_end=-2", {"t_end": -2.0}, "t_end"),
+            ("samples=-1", {"samples": -1}, "samples"),
+            ("length=-1", {"length": -1.0}, "length"),
+            ("species=2", {"species": 2}, "species"),
+            ("species=-1", {"species": -1}, "species"),
+        ],
+    )
+    def test_direct_config_checked_like_a_parsed_one(self, line, fields, key):
+        # the mixture and grid rules are those of new_mixture_spec and Grid1D
+        with pytest.raises(ValidationError) as parsed:
+            parse(MINIMAL + "\n" + line)
+        with pytest.raises(ValidationError) as direct:
+            RunConfig(**{**MINIMAL_FIELDS, **fields})
+        assert parsed.value.key == direct.value.key == key
 
     def test_every_key_names_a_field(self):
         # parsed values go straight into RunConfig; D fills d_upper

@@ -349,6 +349,15 @@ class TestBandAssembly:
 
 
 class TestAdvanceStep:
+    @pytest.mark.parametrize("shape", [(15, 2), (16, 3), (32,)])
+    def test_previous_state_of_another_shape_rejected(self, shape):
+        # the assembly would fail on it with an untyped numpy error
+        grid = Grid1D(1.0, 16)
+        params = SchemeParams(tau=1e-3, t_end=1.0)
+        with pytest.raises(ValidationError) as info:
+            advance_step(ternary_123_spec(), grid, params, np.zeros(shape))
+        assert info.value.key == "w_prev"
+
     def test_constant_state_matches_root_oracle(self):
         spec = ternary_123_spec()
         grid = Grid1D(1.0, 8)
@@ -695,6 +704,15 @@ class TestRunSimulation:
                 run_simulation(spec, grid, params, c0, audit_mode=mode)
         with pytest.raises(ValidationError):
             run_simulation(spec, grid, params, c0, record_every=0)
+
+    @pytest.mark.parametrize("rows", [15, 17])
+    def test_initial_data_of_another_row_count_rejected(self, rows):
+        spec, grid, params, c0 = heat_setup()
+        c0 = np.resize(c0, (rows, c0.shape[1]))
+        with pytest.raises(ValidationError) as info:
+            run_simulation(spec, grid, params, c0)
+        assert info.value.key == "initial"
+        assert str(grid.cells) in info.value.reason
 
     def test_zero_eps_rejected_at_run_time(self):
         with pytest.raises(ValidationError):
