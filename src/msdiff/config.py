@@ -90,10 +90,8 @@ class RunConfig:
     def __post_init__(self):
         for key in _KEYS:
             value = self.d_upper if key == "D" else getattr(self, key)
-            if value is not None or key not in ("tau", "t_end"):
+            if value is not None or key not in ("tau", "t_end", "scenario"):
                 _check(key, value)
-        for value in self.d_upper:
-            _require_number("D", value)
         materialize_spec(self)
         Grid1D(length=self.length, cells=self.cells)
 
@@ -116,12 +114,16 @@ def _parse_d(key: str, value: str) -> tuple[float, ...]:
     return tuple(_parse_float(key, p.strip()) for p in value.split(",") if p.strip())
 
 
+def _parse_str(key: str, value: str) -> str:
+    return value
+
+
 # key -> (converter, validator or None, reason shown on validation failure)
 _KEYS = {
     "species": (_parse_int, None, ""),
     "D": (_parse_d, None, ""),
     "production": (
-        lambda k, v: v,
+        _parse_str,
         lambda v: v in ("zero", "quaternary_reversible"),
         "must be 'zero' or 'quaternary_reversible'",
     ),
@@ -133,13 +135,13 @@ _KEYS = {
     "picard_tol": (_parse_float, lambda v: v > 0.0, "must be positive"),
     "picard_max": (_parse_int, lambda v: v >= 1, "must be at least 1"),
     "eta_floor": (_parse_float, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
-    "initial": (lambda k, v: v, None, ""),
-    "scenario": (lambda k, v: v, None, ""),
-    "output_dir": (lambda k, v: v, None, ""),
+    "initial": (_parse_str, None, ""),
+    "scenario": (_parse_str, None, ""),
+    "output_dir": (_parse_str, None, ""),
     "snapshot_every": (_parse_int, lambda v: v >= 0, "must be nonnegative"),
     "record_every": (_parse_int, lambda v: v >= 1, "must be at least 1"),
     "audit": (
-        lambda k, v: v,
+        _parse_str,
         lambda v: v in ("enforce", "off"),
         "must be 'enforce' or 'off'",
     ),
@@ -154,6 +156,13 @@ def _check(key: str, value) -> None:
     parse, check, reason = _KEYS[key]
     if parse in (_parse_int, _parse_float):
         _require_number(key, value, integer=parse is _parse_int)
+    elif parse is _parse_d:
+        if not isinstance(value, tuple):
+            raise ValidationError(key, f"not a tuple of numbers: {value!r}")
+        for item in value:
+            _require_number(key, item)
+    elif not isinstance(value, str):
+        raise ValidationError(key, f"not a string: {value!r}")
     if check is not None and not check(value):
         raise ValidationError(key, reason)
 

@@ -8,11 +8,12 @@ dominates), per-species mass balances, strict positivity, flux
 reconstruction against the original gradient-flux relations, and the
 exponential decay fit of the relative entropy.
 
-The entropy, relative entropy and dissipation kernels are private and
-unchecked: they read all N+1 fractions ``cf`` and the mobilities that the
-stepper already computed and checked for the state, and the step record
-is their only caller.  What they compute is public through
-``DiagnosticsRecord``, and ``audit_step`` judges it.
+One private, unchecked builder, ``_record``, computes the entropy, the
+relative entropy and both dissipation forms of a state: it reads all N+1
+fractions ``cf`` and the mobilities that the stepper already computed and
+checked for the state, and the stepper is its only caller.  What it
+computes is public through ``DiagnosticsRecord``, and ``audit_step``
+judges it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .grid import Grid1D, divergence, face_gradient, integrate
 from .mixture import (
     MixtureSpec,
     full_concentrations,
-    _entropy_density,
     _inverse_friction,
     _require_admissible,
     _xlogx,
@@ -79,51 +79,53 @@ class AuditVerdict:
         return self.entropy_ok and self.mass_ok and self.bounds_ok and self.dissipation_ok
 
 
-def _entropy(grid: Grid1D, cf: np.ndarray) -> float:
-    """Integral of the entropy density over the interval, from all N+1
-    fractions ``cf`` of an admissible field."""
-    return float(integrate(grid, _entropy_density(cf)))
-
-
-def _relative_entropy(grid: Grid1D, cf: np.ndarray, reference: np.ndarray) -> float:
-    """Entropy of the field relative to a constant reference composition.
-
-    ``cf`` holds all N+1 fractions of an admissible field and ``reference``
-    all N+1 fractions of a strictly positive composition summing to one.
-    The integrand ``sum_i c_i log(c_i / ref_i)`` is a pointwise
-    Kullback-Leibler divergence, hence nonnegative, and vanishes exactly
-    when the field equals the reference everywhere.
-    """
-    dens = np.sum(_xlogx(cf) - cf * np.log(reference), axis=-1)
-    return float(integrate(grid, dens))
-
-
 def solver_slack(picard_tol: float, n_reduced: int, cells: int) -> float:
     """Entropy-audit slack granted for finite nonlinear solver tolerance."""
     return 10.0 * picard_tol * n_reduced * cells
 
 
-def _dissipation(
-    grid: Grid1D, B: np.ndarray, cf: np.ndarray, w: np.ndarray
-) -> tuple[float, float]:
-    """Face-quadrature entropy dissipation of the state ``w``, two ways.
+def _record(
+    grid: Grid1D,
+    t: float,
+    B: np.ndarray,
+    cf: np.ndarray,
+    w: np.ndarray,
+    reference: np.ndarray,
+    iterations: int,
+) -> DiagnosticsRecord:
+    """The record of the state ``w`` at time ``t``, from its cell
+    mobilities ``B`` and all N+1 fractions ``cf``.
 
-    Reads the cell mobilities ``B`` and all N+1 fractions ``cf`` of ``w``.
-    Returns ``(raw, sqrt_form)``: the quadratic form ``grad w : B grad w``
-    with face mobilities averaged from the neighboring cells, and the
-    square-root form ``sum_i |grad sqrt(c_i)|^2`` over all N+1 species
-    built from differences of cellwise square roots.  The energy estimate
-    bounds ``raw`` from below by ``(4 / Delta) * sqrt_form``; ``audit_step``
-    checks that margin.
+    The entropy integrates ``sum_i c_i (log c_i - 1)`` and the relative
+    entropy the pointwise Kullback-Leibler divergence ``sum_i c_i log(c_i /
+    ref_i)`` from the strictly positive ``reference``, which is nonnegative
+    and vanishes exactly at the reference; both read one ``x log x`` of
+    ``cf``, with ``0 log 0 = 0``.  The dissipation is taken two ways by face
+    quadrature: ``raw`` is the quadratic form ``grad w : B grad w`` with
+    face mobilities averaged from the neighboring cells, ``sqrt_form`` is
+    ``sum_i |grad sqrt(c_i)|^2`` over all N+1 species from differences of
+    cellwise square roots.  The energy estimate bounds ``raw`` from below
+    by ``(4 / Delta) * sqrt_form``; ``audit_step`` checks that margin.
     """
     h = grid.h
+    xlogx = _xlogx(cf)
     dw = w[1:] - w[:-1]
     B_face = 0.5 * (B[:-1] + B[1:])
-    raw = float(np.einsum("mi,mij,mj->", dw, B_face, dw)) / h
     ds = np.sqrt(cf)
     dsqrt = ds[1:] - ds[:-1]
-    sqrt_form = float(np.sum(dsqrt * dsqrt)) / h
-    return raw, sqrt_form
+    return DiagnosticsRecord(
+        time=t,
+        entropy=float(integrate(grid, np.sum(xlogx, axis=-1) - 1.0)),
+        relative_entropy=float(
+            integrate(grid, np.sum(xlogx - cf * np.log(reference), axis=-1))
+        ),
+        dissipation_sqrt=float(np.sum(dsqrt * dsqrt)) / h,
+        dissipation_raw=float(np.einsum("mi,mij,mj->", dw, B_face, dw)) / h,
+        masses=integrate(grid, cf),
+        min_c=float(np.min(cf)),
+        picard_iterations=iterations,
+        reference=reference,
+    )
 
 
 def reconstruct_fluxes(

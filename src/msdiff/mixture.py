@@ -414,15 +414,6 @@ def _xlogx(x: np.ndarray) -> np.ndarray:
     return x * np.log(np.where(x == 0.0, 1.0, x))
 
 
-def _entropy_density(cf: np.ndarray) -> np.ndarray:
-    """Mixture entropy density ``sum_i c_i (log c_i - 1)`` from all N+1
-    fractions ``cf`` of admissible states, one scalar per state.
-
-    Defined on the closed simplex with the convention ``0 log 0 = 0``.
-    """
-    return np.sum(_xlogx(cf), axis=-1) - 1.0
-
-
 def _hessian_inverse(c: np.ndarray) -> np.ndarray:
     """Closed-form inverse ``diag(c) - c c^T`` of the entropy Hessian
     ``H_ij = 1/c_last + delta_ij / c_i`` in the reduced variables, for an

@@ -110,15 +110,11 @@ def heat_analytic(
 
     With equal diffusivities the reduced flux relation collapses to Fick's
     law with the common coefficient, so each species solves an independent
-    heat equation and the single cosine mode decays exponentially.
+    heat equation and the single cosine mode decays exponentially: the
+    solution is the cosine profile of the decayed amplitude.
     """
-    n1 = n_reduced + 1
     rate = diffusivity * (np.pi / grid.length) ** 2
-    mode = amplitude * np.exp(-rate * t) * np.cos(np.pi * grid.centers / grid.length)
-    c = np.full((grid.cells, n_reduced), 1.0 / n1)
-    c[:, 0] += mode
-    c[:, 1] -= mode
-    return c
+    return cosine_profile(grid, n_reduced, amplitude * np.exp(-rate * t))
 
 
 # All presets share the unit interval, 128 cells, tau = 1e-3 and eps = 1e-8.

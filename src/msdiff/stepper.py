@@ -49,9 +49,7 @@ from .diagnostics import (
     DiagnosticsRecord,
     audit_step,
     solver_slack,
-    _dissipation,
-    _entropy,
-    _relative_entropy,
+    _record,
 )
 from .errors import (
     AuditFailure,
@@ -229,11 +227,12 @@ class _Workspace:
         self.held: tuple | None = None
 
 
-def _rhs(h: float, tau: float, state: _State, c_prev, hinv_scaled) -> np.ndarray:
-    """The system's right-hand side, its only part that reads ``c_prev``."""
+def _rhs(h: float, tau: float, state: _State, c_prev: np.ndarray) -> np.ndarray:
+    """The system's right-hand side at ``state``, its only part that reads
+    ``c_prev``; it scales the Hessian inverse by h/tau as the matrix does."""
     b = (h / tau) * (c_prev - state.c)
     b += h * state.r
-    b += np.einsum("mij,mj->mi", hinv_scaled, state.w)  # state.hinv * (h / tau)
+    b += np.einsum("mij,mj->mi", state.hinv * (h / tau), state.w)
     return b.ravel()
 
 
@@ -242,11 +241,10 @@ def _assemble_banded(
     grid: Grid1D,
     tau: float,
     state: _State,
-    c_prev: np.ndarray,
     work: _Workspace,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Build the augmented frozen-coefficient system at ``state`` in
-    lower-banded form.
+) -> np.ndarray:
+    """Build the augmented frozen-coefficient matrix at ``state`` in
+    lower-banded form, in the workspace's buffer, and return that buffer.
 
     Storage follows the LAPACK convention ab[k, q] = S[q + k, q].  Face
     mobilities are averaged from the two neighboring cells and symmetrized
@@ -254,6 +252,8 @@ def _assemble_banded(
     a copy of the workspace's eps-bilaplacian bands; the block and
     coupling entries occupy disjoint positions, so each entry receives one
     term added to its eps part, which equals adding the eps part last.
+    The matrix does not read ``c_prev``; ``_rhs`` builds the right-hand
+    side.  The call clears the workspace's ``held``.
     """
     n = spec.n_reduced
     m = grid.cells
@@ -268,13 +268,12 @@ def _assemble_banded(
     dblk[1:] += Bf
     dblk[:-1] += Bf
     dblk /= h
-    hinv = state.hinv * (h / tau)
-    dblk += hinv
+    dblk += state.hinv * (h / tau)
     flat = ab.ravel(order="F")
     i, j = work.tril
     flat[work.block_at] += dblk[:, i, j]
     flat[work.coupling_at] += (Bf / (-h)).reshape(m - 1, n * n)
-    return ab, _rhs(h, tau, state, c_prev, hinv)
+    return ab
 
 
 def _band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -369,33 +368,32 @@ def advance_step(
     theta = 1.0
     restarts = iterations = 0
 
-    def assemble_at(state: _State) -> tuple[np.ndarray, np.ndarray, float, float]:
-        """Assemble at a state; return system, rhs, its norm and the residual there."""
+    def assemble_at(state: _State) -> tuple:
+        """``(ab, b, ||S||_F, residual, floor)`` at a state; the matrix is
+        assembled unless the workspace holds it for this state and tau."""
         held = work.held
-        if held is not None and held[0] is state and held[1] == tau:
-            b = _rhs(grid.h, tau, state, c_prev, state.hinv * h_tau)
-            return work.ab, b, held[2], _norm(held[3] - b)
-        ab, b = _assemble_banded(spec, grid, tau, state, c_prev, work)
-        # ||S||_F: twice all squared bands (the unused corner is 0) less the diagonal's
-        flat = ab.ravel(order="F")
-        norm_S = math.sqrt(2.0 * float(flat @ flat) - float(ab[0] @ ab[0]))
-        Sw = _band_matvec(ab, state.w.ravel())
-        work.held = (state, tau, norm_S, Sw)
-        return ab, b, norm_S, _norm(Sw - b)
+        if held is None or held[0] is not state or held[1] != tau:
+            ab = _assemble_banded(spec, grid, tau, state, work)
+            # ||S||_F: twice the squared bands (unused corner 0) less the diagonal's
+            flat = ab.ravel(order="F")
+            norm_S = math.sqrt(2.0 * float(flat @ flat) - float(ab[0] @ ab[0]))
+            held = (state, tau, norm_S, _band_matvec(ab, state.w.ravel()))
+            work.held = held
+        _, _, norm_S, Sw = held
+        b = _rhs(grid.h, tau, state, c_prev)
+        c_norm = _norm(state.c.ravel())
+        floor = 1e-14 * (norm_S * _norm(state.w.ravel()) + _norm(b) + h_tau * c_norm)
+        return work.ab, b, norm_S, _norm(Sw - b), floor
 
     acc = prev
-    ab, b, norm_S, f_acc = assemble_at(acc)
+    ab, b, norm_S, f_acc, _ = assemble_at(acc)
     while iterations < params.picard_max:
         x = _solve_checked(ab, b, norm_S)
         d = x.reshape(acc.w.shape) - acc.w
         s = 1.0
         for _ in range(11):
             trial = _evaluate(spec, acc.w + (theta * s) * d)
-            ab, b, norm_S, f_try = assemble_at(trial)
-            c_norm = _norm(trial.c.ravel())
-            floor = 1e-14 * (
-                norm_S * _norm(trial.w.ravel()) + _norm(b) + h_tau * c_norm
-            )
+            ab, b, norm_S, f_try, floor = assemble_at(trial)
             if f_try <= (1.0 - 1e-4 * theta * s) * f_acc or f_try <= floor:
                 break
             s *= 0.5
@@ -407,7 +405,7 @@ def advance_step(
                 )
             theta *= 0.5
             acc = prev
-            ab, b, norm_S, f_acc = assemble_at(acc)
+            ab, b, norm_S, f_acc, _ = assemble_at(acc)
             continue
         iterations += 1
         acc = trial
@@ -421,30 +419,6 @@ def advance_step(
             )
     raise NonlinearDivergence(
         f"residual above its floor after {params.picard_max} iterations"
-    )
-
-
-def _make_record(
-    grid: Grid1D,
-    t: float,
-    B: np.ndarray,
-    cf: np.ndarray,
-    w: np.ndarray,
-    reference: np.ndarray,
-    iterations: int,
-) -> DiagnosticsRecord:
-    """Diagnostics of the state w from its mobilities and full fractions."""
-    raw, sqrt_form = _dissipation(grid, B, cf, w)
-    return DiagnosticsRecord(
-        time=t,
-        entropy=_entropy(grid, cf),
-        relative_entropy=_relative_entropy(grid, cf, reference),
-        dissipation_sqrt=sqrt_form,
-        dissipation_raw=raw,
-        masses=integrate(grid, cf),
-        min_c=float(np.min(cf)),
-        picard_iterations=iterations,
-        reference=reference,
     )
 
 
@@ -499,7 +473,7 @@ def run_simulation(
     slack = solver_slack(params.picard_tol, spec.n_reduced, grid.cells)
     # the initial record describes the regularized data c itself, which
     # differs from the evaluation's w_to_c(w) at rounding level
-    record = _make_record(grid, 0.0, mobility_matrix(spec, c), cf, w, reference, 0)
+    record = _record(grid, 0.0, mobility_matrix(spec, c), cf, w, reference, 0)
     result = SimulationResult(
         spec=spec,
         grid=grid,
@@ -539,7 +513,7 @@ def run_simulation(
             result.picard_iterations_total += step.iterations
             prev_record, record = record, None
             if build_every or k % record_every == 0:
-                record = _make_record(
+                record = _record(
                     grid, t, state.B, state.cf, state.w, reference, step.iterations
                 )
             r_int = integrate(grid, state.r)
@@ -566,7 +540,7 @@ def run_simulation(
         # store the last state reached unless the thinning just did
         if result.records[-1] is not record:
             if record is None:
-                record = _make_record(
+                record = _record(
                     grid, t, state.B, state.cf, state.w, reference, step.iterations
                 )
             result.records.append(record)

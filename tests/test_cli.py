@@ -91,6 +91,16 @@ class TestRunCommand:
         assert summary["mass_identity_defect"] < 1e-12
         assert summary["snapshots"] == []
 
+    def test_full_heat_run_fits_the_decay_rate(self, tmp_path):
+        # the second half of t_end = 0.1 holds 50 records, enough to fit;
+        # the cosine mode's relative entropy decays at 2 pi^2 D / L^2
+        args = ["run", "--preset", "heat_check", "--override", "cells=32"]
+        assert main([*args, "--output-dir", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "run_summary.json").read_text())
+        assert summary["fit_error"] is None
+        assert summary["lambda_fit"] == pytest.approx(2.0 * np.pi**2, rel=0.02)
+        assert summary["r_squared"] > 0.9999
+
     def test_snapshot_cadence(self, tmp_path):
         assert main(run_args(tmp_path, "--override", "snapshot_every=4")) == 0
         names = sorted(p.name for p in tmp_path.glob("snapshot_*.csv"))

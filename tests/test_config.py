@@ -138,15 +138,26 @@ class TestParseConfig:
             ("length=-1", {"length": -1.0}, "length"),
             ("species=2", {"species": 2}, "species"),
             ("species=-1", {"species": -1}, "species"),
+            ("D=x", {"d_upper": 1.0}, "D"),
+            ("scenario=nosuch", {"scenario": 5}, "scenario"),
+            # a value no line can give: text always parses to a string
+            (None, {"initial": 5}, "initial"),
+            (None, {"initial": None}, "initial"),
+            (None, {"output_dir": None}, "output_dir"),
         ],
     )
     def test_direct_config_checked_like_a_parsed_one(self, line, fields, key):
         # the mixture and grid rules are those of new_mixture_spec and Grid1D
-        with pytest.raises(ValidationError) as parsed:
-            parse(MINIMAL + "\n" + line)
+        if line is not None:
+            with pytest.raises(ValidationError) as parsed:
+                parse(MINIMAL + "\n" + line)
+            assert parsed.value.key == key
         with pytest.raises(ValidationError) as direct:
             RunConfig(**{**MINIMAL_FIELDS, **fields})
-        assert parsed.value.key == direct.value.key == key
+        assert direct.value.key == key
+
+    def test_direct_config_without_scenario_accepted(self):
+        assert RunConfig(**MINIMAL_FIELDS).scenario is None
 
     def test_every_key_names_a_field(self):
         # parsed values go straight into RunConfig; D fills d_upper
@@ -241,6 +252,7 @@ class TestMaterialize:
             ("eps", float("nan"), "eps: must be finite"),
             ("picard_max", 2.5, "picard_max: not an integer: 2.5"),
             ("picard_max", 200.0, "picard_max: not an integer: 200.0"),
+            ("tau", "abc", "tau: not a number: 'abc'"),
         ],
     )
     def test_scheme_params_share_the_key_types(self, key, value, message):
@@ -248,7 +260,8 @@ class TestMaterialize:
         with pytest.raises(ValidationError) as info:
             SchemeParams(**{"tau": 1e-3, "t_end": 1.0, key: value})
         assert str(info.value) == message
-        if message.endswith("must be finite"):
+        # values a config line spells as they are: parsing gives the same message
+        if message.endswith("must be finite") or value == "abc":
             with pytest.raises(ValidationError) as from_config:
                 parse(f"{MINIMAL}\n{key}={value}")
             assert str(from_config.value) == message

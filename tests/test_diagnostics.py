@@ -32,22 +32,23 @@ from msdiff import (
     solver_slack,
     w_to_c,
 )
-from msdiff.diagnostics import _dissipation, _entropy, _relative_entropy
+from msdiff.diagnostics import _record
 from msdiff.mixture import _hessian_inverse, _w_to_cf
 from test_grid import dense_laplacian
-from test_mixture import equal_d_spec, ternary_123_spec
+from test_mixture import equal_d_spec, record_of, ternary_123_spec
 
 
 def entropy_of(grid, c):
-    return _entropy(grid, full_concentrations(c))
+    return record_of(grid, c).entropy
 
 
 def relative_entropy_of(grid, c, reference):
-    return _relative_entropy(grid, full_concentrations(c), np.asarray(reference))
+    return record_of(grid, c, reference=reference).relative_entropy
 
 
 def dissipation_of(spec, grid, c, w):
-    return _dissipation(grid, mobility_matrix(spec, c), full_concentrations(c), w)
+    record = record_of(grid, c, w, mobility_matrix(spec, c))
+    return record.dissipation_raw, record.dissipation_sqrt
 
 
 def make_record(grid, spec, t, c, w, iterations=1):
@@ -463,7 +464,7 @@ class TestCarriedEvaluation:
     def test_run_records_match_public_diagnostics_bitwise(self, monkeypatch):
         # the solver's evaluation of each accepted state feeds the record;
         # its first N fractions agree to the last bit with the public
-        # functions, and the record reads all N+1 through the private kernels
+        # functions, and the record reads all N+1 through the private builder
         steps = []
         advance = msdiff.stepper.advance_step
 
@@ -492,13 +493,13 @@ class TestCarriedEvaluation:
             assert np.array_equal(
                 state.r, production_rates(spec.production, cf)[:, :n]
             )
-            raw, sqrt_form = _dissipation(grid, state.B, cf, step.w)
-            assert record.dissipation_raw == raw
-            assert record.dissipation_sqrt == sqrt_form
-            assert record.entropy == _entropy(grid, cf)
-            assert record.relative_entropy == _relative_entropy(
-                grid, cf, record.reference
+            built = _record(
+                grid, record.time, state.B, cf, step.w, record.reference,
+                step.iterations,
             )
+            for name in ("time", "entropy", "relative_entropy", "dissipation_raw",
+                         "dissipation_sqrt", "picard_iterations"):
+                assert getattr(record, name) == getattr(built, name)
             assert np.array_equal(record.masses, integrate(grid, cf))
             assert record.min_c == float(np.min(cf))
         assert result.w is steps[-1].w

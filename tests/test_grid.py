@@ -114,6 +114,15 @@ class TestDivergence:
     def test_zero_flux(self, grid4):
         assert np.all(divergence(grid4, np.zeros((5, 3))) == 0.0)
 
+    def test_shape_check(self, grid4):
+        # a cell field where the face field belongs: M rows, not M + 1
+        with pytest.raises(ValidationError) as info:
+            divergence(grid4, np.ones((4, 2)))
+        assert (info.value.key, info.value.reason) == (
+            "flux",
+            "face field must have 5 rows, got 4",
+        )
+
     def test_telescoping_sum(self, grid4):
         rng = np.random.default_rng(2)
         flux = rng.normal(size=(5, 2))

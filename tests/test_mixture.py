@@ -18,6 +18,7 @@ from hypothesis.extra import numpy as hnp
 
 from msdiff import (
     EPS_ADMISSIBLE,
+    Grid1D,
     InadmissibleState,
     ProductionLaw,
     SingularA0,
@@ -34,9 +35,9 @@ from msdiff import (
     reduced_friction_matrix,
     w_to_c,
 )
+from msdiff.diagnostics import _record
 from msdiff.mixture import (
     _adjugate2,
-    _entropy_density,
     _hessian_inverse,
     _inverse_friction,
     _mobility,
@@ -59,9 +60,24 @@ def ternary_123_spec():
     return new_mixture_spec(3, D)
 
 
+def record_of(grid, c, w=None, B=None, reference=None):
+    """The step record's builder on reduced fractions ``c``; fields that
+    the caller does not read get neutral stand-ins."""
+    cf = full_concentrations(c)
+    n = cf.shape[-1] - 1
+    w = np.zeros(cf.shape[:-1] + (n,)) if w is None else w
+    B = np.zeros(w.shape + (n,)) if B is None else B
+    reference = np.full(n + 1, 1 / (n + 1)) if reference is None else reference
+    return _record(grid, 0.0, B, cf, w, np.asarray(reference, dtype=float), 0)
+
+
 def entropy_density(c):
-    """The private density kernel on reduced fractions ``c``."""
-    return _entropy_density(full_concentrations(c))
+    """Entropy density of each state of reduced fractions ``c``: the
+    record's entropy of a unit interval holding that state in both cells."""
+    c = np.asarray(c, dtype=float)
+    if c.ndim == 2:
+        return np.array([entropy_density(row) for row in c])
+    return record_of(Grid1D(1.0, 2), np.tile(c, (2, 1))).entropy
 
 
 def admits(check, c):

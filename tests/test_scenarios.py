@@ -73,11 +73,13 @@ class TestBuildInitial:
             "uniform:0.5",  # wrong fraction count for 2 reduced species
             "uniform:0.7,0.7",  # sums past one
             "uniform:-0.1,0.5",  # negative
+            "uniform:a,b",  # not numbers
         ],
     )
     def test_malformed_profiles_rejected(self, grid, text):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as info:
             build_initial(grid, 2, text)
+        assert info.value.key == "initial"
 
 
 class TestHeatAnalytic:

@@ -18,7 +18,7 @@ from msdiff import (
     new_mixture_spec,
     symmetric_spectrum,
 )
-from msdiff.spectra import _band_report
+from msdiff.spectra import _band_report, _reduced_spectra
 from test_mixture import equal_d_spec, random_interior_state, ternary_123_spec
 
 
@@ -37,6 +37,11 @@ class TestSymmetricSpectrum:
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetric):
             symmetric_spectrum(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    def test_reduced_spectrum_rejects_complex_eigenvalues(self):
+        # the reduced friction spectrum is provably real; a rotation's is +-i
+        with pytest.raises(NotSymmetric, match="imaginary parts up to 1.000e"):
+            _reduced_spectra(equal_d_spec(3), np.array([[0.0, -1.0], [1.0, 0.0]]))
 
     def test_rejects_rectangular(self):
         with pytest.raises(ValidationError) as info:

@@ -232,7 +232,8 @@ def banded_system(spec, grid, tau, eps, w_bar, c_prev):
     """The banded system ``advance_step`` factors at the iterate ``w_bar``."""
     state = msdiff.stepper._evaluate(spec, np.array(w_bar, dtype=float))
     work = msdiff.stepper._Workspace(spec, grid, eps)
-    return msdiff.stepper._assemble_banded(spec, grid, tau, state, c_prev, work)
+    ab = msdiff.stepper._assemble_banded(spec, grid, tau, state, work)
+    return ab, msdiff.stepper._rhs(grid.h, tau, state, c_prev)
 
 
 class TestAssembleLinearSystem:
@@ -277,11 +278,11 @@ class TestBandAssembly:
         ab_ref, b_ref = loop_assemble(spec, grid, 0.01, eps, w_bar, c_prev)
         work = msdiff.stepper._Workspace(spec, grid, eps)
         state = msdiff.stepper._evaluate(spec, w_bar.copy())
-        ab, b = msdiff.stepper._assemble_banded(spec, grid, 0.01, state, c_prev, work)
+        ab = msdiff.stepper._assemble_banded(spec, grid, 0.01, state, work)
         assert np.array_equal(ab, ab_ref)
-        assert np.array_equal(b, b_ref)
+        assert np.array_equal(msdiff.stepper._rhs(grid.h, 0.01, state, c_prev), b_ref)
         # the buffer is reused: a second assembly must not keep old entries
-        ab, b = msdiff.stepper._assemble_banded(spec, grid, 0.01, state, c_prev, work)
+        ab = msdiff.stepper._assemble_banded(spec, grid, 0.01, state, work)
         assert np.array_equal(ab, ab_ref)
 
     @pytest.mark.parametrize("n_species", [3, 4, 5, 6])
@@ -454,6 +455,44 @@ class TestAdvanceStep:
         ab[0] = [1.0, 1.0, -1.0, 1.0]
         with pytest.raises(NonlinearDivergence, match="banded Cholesky failed"):
             msdiff.stepper._solve_checked(ab, np.ones(4), 2.0)
+
+    @staticmethod
+    def uphill_start():
+        spec, grid, params, c0 = materialize(
+            config_from_pairs([("scenario", "ternary_uphill"), ("cells", "16")])
+        )
+        w0 = c_to_w(regularize_initial(spec, c0, params.eta_floor))
+        return spec, grid, params, w0
+
+    @pytest.mark.parametrize(
+        "spoil,message",
+        [
+            (lambda x: np.full_like(x, np.nan), "linear solver produced non-finite"),
+            # the true solution scaled by 1 + 1e-3 fails the 1e-12 backward error
+            (lambda x: x * (1.0 + 1e-3), r"linear solve residual .* exceeds 1e-12"),
+        ],
+        ids=["non-finite", "backward-error"],
+    )
+    def test_spoiled_linear_solution_fails_the_step(self, spoil, message, monkeypatch):
+        spec, grid, params, w0 = self.uphill_start()
+        solve = msdiff.stepper.solveh_banded
+        monkeypatch.setattr(
+            msdiff.stepper, "solveh_banded", lambda *a, **k: spoil(solve(*a, **k))
+        )
+        with pytest.raises(NonlinearDivergence, match=message):
+            advance_step(spec, grid, params, w0)
+
+    def test_direction_without_descent_exhausts_the_restarts(self, monkeypatch):
+        # a zero update leaves the residual where it is, so every
+        # backtracking search fails and the third restart ends the step
+        spec, grid, params, w0 = self.uphill_start()
+        work = msdiff.stepper._Workspace(spec, grid, params.eps)
+        # the matrix is always assembled at the iterate being updated
+        monkeypatch.setattr(
+            msdiff.stepper, "_solve_checked", lambda *args: work.held[0].w.ravel()
+        )
+        with pytest.raises(NonlinearDivergence, match="failed after 3 restarts"):
+            advance_step(spec, grid, params, w0, work=work)
 
     def test_relaxation_restart_rescues_first_uphill_step(self):
         # the first step of ternary_uphill at eps = 1e-5 needs one restart at
